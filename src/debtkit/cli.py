@@ -23,7 +23,8 @@ from pathlib import Path
 from . import __version__
 from . import distributions as dist
 from . import dynamics, panel, regress, scaling
-from .errors import DebtkitError, DegenerateSample, DegenerateX, NoConvergence
+from .errors import (DebtkitError, DegenerateSample, DegenerateX, EmptyPanel,
+                     NoConvergence)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,7 +83,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _load_observations(args: argparse.Namespace) -> list[panel.PerCapitaObservation]:
     pl = panel.ingest_csv(args.panel, args.deflator)
+    if not pl.records:
+        raise EmptyPanel(f"{args.panel}: panel has no data rows")
     return panel.normalize(pl)
+
+
+def _years(args: argparse.Namespace, obs) -> list[int]:
+    """The --years list, or else every panel year."""
+    return _parse_years(args.years) if args.years else sorted(
+        {o.year for o in obs})
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -94,10 +103,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
-    years = _parse_years(args.years) if args.years else sorted(
-        {o.year for o in obs})
     # slope_surface needs both endpoints; cap initial years below the last one
-    t_list = [t for t in years if t < max(o.year for o in obs)]
+    last = max(o.year for o in obs)
+    t_list = [t for t in _years(args, obs) if t < last]
     header = _header(args)
     out = _out_dir(args)
     for variable in panel.Variable:
@@ -111,24 +119,17 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _dist_outputs(obs, suffix: str, args, out: Path, header: str) -> None:
-    d_samples = [o.d for o in obs]
-    r_samples = [o.ratio_R for o in obs]
-
-    dist.write_histogram_csv(dist.histogram_pdf(d_samples, args.bins),
-                             out / f"pdf_d{suffix}.csv", header_comment=header)
-    print(f"wrote {out / f'pdf_d{suffix}.csv'}")
-    dist.write_histogram_csv(dist.histogram_pdf(r_samples, args.bins),
-                             out / f"pdf_R{suffix}.csv", header_comment=header)
-    print(f"wrote {out / f'pdf_R{suffix}.csv'}")
-
-    ranked_d = dist.zipf_ranks(d_samples)
-    ranked_r = dist.zipf_ranks(r_samples)
-    dist.write_ranks_csv(ranked_d, out / f"zipf_d{suffix}.csv",
-                         header_comment=header)
-    print(f"wrote {out / f'zipf_d{suffix}.csv'}")
-    dist.write_ranks_csv(ranked_r, out / f"zipf_R{suffix}.csv",
-                         header_comment=header)
-    print(f"wrote {out / f'zipf_R{suffix}.csv'}")
+    samples = {"d": [o.d for o in obs], "R": [o.ratio_R for o in obs]}
+    for name, values in samples.items():
+        path = out / f"pdf_{name}{suffix}.csv"
+        dist.write_histogram_csv(dist.histogram_pdf(values, args.bins), path,
+                                 header_comment=header)
+        print(f"wrote {path}")
+    ranked = {name: dist.zipf_ranks(values) for name, values in samples.items()}
+    for name, ranks in ranked.items():
+        path = out / f"zipf_{name}{suffix}.csv"
+        dist.write_ranks_csv(ranks, path, header_comment=header)
+        print(f"wrote {path}")
 
     # default fit window covers the strictly positive prefix of each rank plot
     def window(ranked):
@@ -136,15 +137,13 @@ def _dist_outputs(obs, suffix: str, args, out: Path, header: str) -> None:
             return tuple(args.rank_window)
         return (1, sum(1 for _, v in ranked if v > 0))
 
-    zipf_payload = {
-        "d": dist.zipf_fit_dict(dist.fit_zipf_exponent(ranked_d, window(ranked_d))),
-        "R": dist.zipf_fit_dict(dist.fit_zipf_exponent(ranked_r, window(ranked_r))),
-        "_meta": _meta(args),
-    }
+    zipf_payload = {name: dist.zipf_fit_dict(dist.fit_zipf_exponent(r, window(r)))
+                    for name, r in ranked.items()}
+    zipf_payload["_meta"] = _meta(args)
     _write_json(out / f"zipf_fit{suffix}.json", zipf_payload)
 
-    positive_r = [v for v in r_samples if v > 0]
-    n_zero = len(r_samples) - len(positive_r)
+    positive_r = [v for v in samples["R"] if v > 0]
+    n_zero = len(samples["R"]) - len(positive_r)
     if n_zero:
         print(f"note: {n_zero} zero-debt ratios excluded from the gamma fit",
               file=sys.stderr)
@@ -180,8 +179,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
-    years = _parse_years(args.years) if args.years else sorted(
-        {o.year for o in obs})
+    years = _years(args, obs)
     fits = scaling.gamma_trend(obs, years)
     out = _out_dir(args)
     path = out / "gamma_trend.csv"
@@ -211,11 +209,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             primary_deficit=args.budget_deficit,
             horizon=int(round(args.horizon))))
         budget_path = out / "budget_path.csv"
-        with open(budget_path, "w", newline="", encoding="utf-8") as f:
-            f.write(f"# {header}\n")
-            f.write("t,D\n")
-            for t, value in enumerate(budget):
-                f.write(f"{t},{float(value)!r}\n")
+        panel.write_table(budget_path, ["t", "D"], enumerate(budget.tolist()),
+                          header, lineterminator="\n")
         print(f"wrote {budget_path}")
     return EXIT_OK
 
@@ -230,16 +225,15 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     tail = fit.tail_probability(args.threshold)
 
     breaches_path = out / "threshold_breaches.csv"
-    years = sorted({o.year for o in obs})
-    with open(breaches_path, "w", newline="", encoding="utf-8") as f:
-        f.write(f"# {header}\n")
-        f.write("year,n_countries,n_above,countries\n")
-        for year in years:
-            in_year = [o for o in obs if o.year == year]
-            above = sorted(o.country_code for o in in_year
-                           if o.ratio_R > args.threshold)
-            f.write(f"{year},{len(in_year)},{len(above)},"
-                    f"{';'.join(above)}\n")
+    by_year: dict[int, list] = {}
+    for o in obs:
+        by_year.setdefault(o.year, []).append(o)
+    rows = []
+    for year, in_year in sorted(by_year.items()):
+        above = sorted(o.country_code for o in in_year if o.ratio_R > args.threshold)
+        rows.append((year, len(in_year), len(above), ";".join(above)))
+    panel.write_table(breaches_path, ["year", "n_countries", "n_above", "countries"],
+                      rows, header, lineterminator="\n")
     print(f"wrote {breaches_path}")
 
     payload = {

@@ -8,7 +8,6 @@ and the pdf tail exponent 1 + 1/zeta.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,6 +25,7 @@ from .errors import (
     TooFewPoints,
     WindowTooSmall,
 )
+from .panel import write_table
 from .regress import ols
 
 EULER_GAMMA = 0.5772156649015329
@@ -246,25 +246,14 @@ def summary_stats(samples: Sequence[float]) -> tuple[float, float, int]:
 
 def write_histogram_csv(hist: HistogramPdf, path,
                         header_comment: "str | None" = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(["bin_left", "bin_right", "density"])
-        for left, right, rho in zip(hist.edges[:-1], hist.edges[1:], hist.density):
-            writer.writerow([repr(float(left)), repr(float(right)),
-                             repr(float(rho))])
+    edges = hist.edges.tolist()
+    write_table(path, ["bin_left", "bin_right", "density"],
+                zip(edges[:-1], edges[1:], hist.density.tolist()), header_comment)
 
 
 def write_ranks_csv(ranked: Iterable[tuple[int, float]], path,
                     header_comment: "str | None" = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(["rank", "value"])
-        for rank, value in ranked:
-            writer.writerow([rank, repr(value)])
+    write_table(path, ["rank", "value"], ranked, header_comment)
 
 
 def gamma_fit_dict(fit: GammaFit) -> dict:

@@ -15,7 +15,6 @@ panels with a known ground-truth convergence speed for estimator tests.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidBeta, NonPositiveDebt, SeriesLengthMismatch
-from .panel import IncomeGroup, PerCapitaObservation
+from .panel import IncomeGroup, PerCapitaObservation, write_table
 
 BLOWUP_THRESHOLD = 1e12
 UNDERFLOW_THRESHOLD = 1e-12
@@ -231,10 +230,5 @@ def synthetic_convergent_panel(
 def write_simpath_csv(path_result: SimPath, path,
                       header_comment: "str | None" = None) -> None:
     """Serialize a SimPath to CSV: t,d."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(["t", "d"])
-        for t, d in zip(path_result.times, path_result.d_values):
-            writer.writerow([repr(float(t)), repr(float(d))])
+    rows = zip(path_result.times.tolist(), path_result.d_values.tolist())
+    write_table(path, ["t", "d"], rows, header_comment)

@@ -35,7 +35,11 @@ class MissingDeflator(IngestionError):
 
 
 class NonPositive(IngestionError):
-    """Population or GDP is <= 0, or debt/deflator is negative."""
+    """Population, GDP or deflator not finite and > 0; debt not finite and >= 0."""
+
+
+class EmptyPanel(IngestionError):
+    """The panel CSV has a header but no data rows."""
 
 
 class EmptyCrossSection(DebtkitError):

@@ -14,6 +14,7 @@ the nominal amounts directly since the deflator cancels.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -75,15 +76,16 @@ class CountryYearRecord:
         if len(self.country_code) != 3 or not self.country_code.isalpha():
             raise MalformedRow(
                 f"country_code {self.country_code!r} is not a 3-letter code")
-        if self.population <= 0:
-            raise NonPositive(
-                f"{self.country_code} {self.year}: population must be > 0")
-        if self.gdp_nominal <= 0:
-            raise NonPositive(
-                f"{self.country_code} {self.year}: gdp_nominal must be > 0")
-        if self.debt_nominal < 0:
-            raise NonPositive(
-                f"{self.country_code} {self.year}: debt_nominal must be >= 0")
+        # chained comparisons are false for NaN, so they reject it too
+        if not 0 < self.population < math.inf:
+            raise NonPositive(f"{self.country_code} {self.year}: "
+                              "population must be finite and > 0")
+        if not 0 < self.gdp_nominal < math.inf:
+            raise NonPositive(f"{self.country_code} {self.year}: "
+                              "gdp_nominal must be finite and > 0")
+        if not 0 <= self.debt_nominal < math.inf:
+            raise NonPositive(f"{self.country_code} {self.year}: "
+                              "debt_nominal must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,9 @@ class DeflatorSeries:
                 f"deflator at base year {self.base_year} must be exactly 1.0, "
                 f"got {self.values[self.base_year]!r}")
         for year, value in self.values.items():
-            if value <= 0:
-                raise NonPositive(f"deflator for {year} must be > 0, got {value!r}")
+            if not 0 < value < math.inf:
+                raise NonPositive(
+                    f"deflator for {year} must be finite and > 0, got {value!r}")
 
     def value(self, year: int) -> float:
         try:
@@ -172,8 +175,9 @@ def _parse_deflator_csv(path: Path) -> DeflatorSeries:
             raise MalformedRow(str(exc), line=line_no) from None
         if year in values:
             raise DuplicateKey(f"duplicate deflator year {year}", line=line_no)
-        if value <= 0:
-            raise NonPositive(f"deflator for {year} must be > 0", line=line_no)
+        if not 0 < value < math.inf:
+            raise NonPositive(f"deflator for {year} must be finite and > 0",
+                              line=line_no)
         values[year] = value
     return DeflatorSeries(values=values)
 
@@ -292,26 +296,32 @@ def records_from_observations(obs: Iterable[PerCapitaObservation],
     ]
 
 
-def write_panel_csv(path: "str | Path", records: Iterable[CountryYearRecord],
-                    header_comment: "str | None" = None) -> None:
-    """Write records in the panel CSV schema (optionally with a # comment line)."""
+def write_table(path: "str | Path", header: Iterable[str], rows: Iterable,
+                header_comment: "str | None" = None,
+                lineterminator: str = "\r\n") -> None:
+    """Write an optional ``# comment`` line, a header and rows as CSV.
+
+    Fields are written with str(), which is repr() for a Python float.
+    """
+    # rows of budget_path.csv and threshold_breaches.csv have always ended in "\n"
     with open(path, "w", newline="", encoding="utf-8") as f:
         if header_comment:
             f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(PANEL_HEADER)
-        for rec in records:
-            writer.writerow([rec.country_code, rec.year, repr(rec.gdp_nominal),
-                             repr(rec.debt_nominal), repr(rec.population),
-                             rec.income_group.value])
+        writer = csv.writer(f, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_panel_csv(path: "str | Path", records: Iterable[CountryYearRecord],
+                    header_comment: "str | None" = None) -> None:
+    """Write records in the panel CSV schema (optionally with a # comment line)."""
+    write_table(path, PANEL_HEADER, (
+        (rec.country_code, rec.year, rec.gdp_nominal, rec.debt_nominal,
+         rec.population, rec.income_group.value) for rec in records),
+        header_comment)
 
 
 def write_deflator_csv(path: "str | Path", series: DeflatorSeries,
                        header_comment: "str | None" = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(DEFLATOR_HEADER)
-        for year in sorted(series.values):
-            writer.writerow([year, repr(series.values[year])])
+    write_table(path, DEFLATOR_HEADER, sorted(series.values.items()),
+                header_comment)

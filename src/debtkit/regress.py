@@ -12,7 +12,6 @@ S = 1 - beta*dt. beta > 0 means initially small values grow faster
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,7 +25,8 @@ from .errors import (
     TooFewCountries,
     TooFewPoints,
 )
-from .panel import PerCapitaObservation, Variable, as_variable, cross_section
+from .panel import (PerCapitaObservation, Variable, as_variable, cross_section,
+                    write_table)
 
 SURFACE_CSV_HEADER = ["variable", "t", "dt", "S", "beta", "alpha",
                       "r_squared", "n_countries"]
@@ -189,11 +189,6 @@ def slope_surface(obs: Iterable[PerCapitaObservation], variable: "Variable | str
 def write_surface_csv(surface: SlopeSurface, path,
                       header_comment: "str | None" = None) -> None:
     """Serialize a SlopeSurface to CSV: variable,t,dt,S,beta,alpha,r_squared,n_countries."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(SURFACE_CSV_HEADER)
-        for e in surface.entries:
-            writer.writerow([e.variable.value, e.t, e.dt, repr(e.S), repr(e.beta),
-                             repr(e.alpha), repr(e.r_squared), e.n_countries])
+    write_table(path, SURFACE_CSV_HEADER, (
+        (e.variable.value, e.t, e.dt, e.S, e.beta, e.alpha, e.r_squared,
+         e.n_countries) for e in surface.entries), header_comment)

@@ -7,14 +7,13 @@ on log d, matching the power-law form above.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptyCrossSection, TooFewCountries
-from .panel import PerCapitaObservation, Variable, cross_section
+from .panel import PerCapitaObservation, Variable, cross_section, write_table
 from .regress import ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
@@ -71,11 +70,6 @@ def gamma_trend(obs: Iterable[PerCapitaObservation],
 def write_trend_csv(fits: Iterable[ScalingFit], path,
                     header_comment: "str | None" = None) -> None:
     """Serialize ScalingFits to CSV: year,gamma,log_A,r_squared,n_countries."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(TREND_CSV_HEADER)
-        for fit in fits:
-            writer.writerow([fit.year, repr(fit.gamma), repr(fit.log_A),
-                             repr(fit.r_squared), fit.n_countries])
+    write_table(path, TREND_CSV_HEADER, (
+        (fit.year, fit.gamma, fit.log_A, fit.r_squared, fit.n_countries)
+        for fit in fits), header_comment)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: file outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -192,6 +193,76 @@ def test_help_and_version_exit_zero(capsys):
     assert "converge" in out
 
 
+# ------------------------------------------------------------ golden bytes
+
+# sha256 of every output of test_pipeline_golden_bytes, recorded from the
+# per-module writers that panel.write_table replaced: it must keep their bytes
+GOLDEN_SHA256 = {
+    "budget_path.csv": "da78edae851fc8827dca875f30d46f94504b0d57ad558a53dc0fb39d77c3fba7",
+    "deflator_synth.csv": "db7e9ceca1b145b20529e6619f7c92b2e60e836a8c631fb0b02051350ed6898b",
+    "gamma_fit.json": "0ab623503d6dc20256e6b5d0f2b3f9a9f5f75bb3505cb5fc521f2ed2b9613eb6",
+    "gamma_fit_high.json": "42eb91207e959a8ce262f9b59bcfc35e1bf998e9d898eaa291931eca7bbe59cd",
+    "gamma_fit_low.json": "d20d865c64b8c232f97538b5fccf70886638de1242e854179fd031ffc279ff28",
+    "gamma_fit_medium.json": "cf58eaca77b3b1b7d83f46b9d52be6c862a55e7abd3422279dd39dbda0d7a648",
+    "gamma_trend.csv": "28ca830d8f24f3317109717695896cf2370e637937d32c5dbc0ba7ed0e44853a",
+    "panel_synth.csv": "635d4671ed3c599f8506a8af41549da443d1723b0097175e1fd9f67fcabc1106",
+    "pdf_R.csv": "19a159fbcf63f310f396ea1a1974fac3a547c5f03155d3142409448b00eef57b",
+    "pdf_R_high.csv": "956d9b5e3f96a4e3103a2aff2b44fc5c91a6ee190e5341f294d51b12b9bcd401",
+    "pdf_R_low.csv": "12faa7d66cca6ec42bf0ec52fa7d5f3f67879308885188bccdbb3aac2978d15e",
+    "pdf_R_medium.csv": "7f103eb250c16a9ae046b7cb07ad7cf9abbce7832870d865e68d81a2a4cbf46b",
+    "pdf_d.csv": "6c983aeaaec126e9f23011ef50c25c0a6a4c0b70907cf9543069482239b48d40",
+    "pdf_d_high.csv": "63c9d34008a9d6f339906738adaf0828d8c54d5223a9d34f1693e6bcbb00e1fc",
+    "pdf_d_low.csv": "d1e942b9d38ec7cd3723590c9fa8707e79f5f9be0e78351012d7349e1cca97d5",
+    "pdf_d_medium.csv": "e8b4ca043c155d3aad5cd7f8350814845dfaa8ec0006dfee11b8d5e32d5f0e9e",
+    "simpath.csv": "aee670197c694becd44c66ebd35e855e6e2c00b1940322a1202e2f51205d1074",
+    "surface_R.csv": "8b92fed05ea0924bccdba16165585f53f9b670418ed5b2126e20d1095242f1e4",
+    "surface_d.csv": "98de3a534e6689f316355896012557d8fcd943a4b38599b7872c9d6aa00e0e51",
+    "surface_g.csv": "880c758aff27cdd3b1e5232788f1f222a0b7448aa5476d52c725d447e055ee0c",
+    "threshold_breaches.csv": "5a39e974590f2f6b66b3382d177fc21b7ff984ab22a789b1ea440275e1f30644",
+    "threshold_summary.json": "be7318520e8fef4786453276e46ae5324679cefa842495cf891e910a6c5c673e",
+    "zipf_R.csv": "7e06651c2cdddb8d63e05a7b18b0a02d8483cde4e6e7af89131be55176abfa66",
+    "zipf_R_high.csv": "49b58322eb95708e403a123eae4f6fecf71f5ea1d42f186327e9ff91c131a995",
+    "zipf_R_low.csv": "0f8e485ce75a401d06a6c072b0518d4060460f731fc7dd5f2f636f96fb876a22",
+    "zipf_R_medium.csv": "a7aab39aa909ee8dea04a20c0e902ca1feae6949e49f17ac39724d2a2e236d4e",
+    "zipf_d.csv": "bb888c1d14c616167318ce48e185432a55df2c5ee9fcffffaf92696a9a014dc7",
+    "zipf_d_high.csv": "887410bdef843dcfbf356a20dc5873502db502ee9969ee3c94a00a3e6a29c2eb",
+    "zipf_d_low.csv": "2a9f7977b71f1ba5f43838aa823560107266bd1957643fb3c8c330649ac0e428",
+    "zipf_d_medium.csv": "7b7a5f453f3db5f5f0ace5f46c0c54a21edbd5f13b71550bf0acc63d08e78208",
+    "zipf_fit.json": "28ebbc19fff6b81eacbf7e72bb53aa9eba1afcebb2df1e6a61c16a1e90ea4e58",
+    "zipf_fit_high.json": "a46d55dcdf01c0595dbc5bb6af4f5ade0be52365d3db6a6b9464269d7330efef",
+    "zipf_fit_low.json": "27dc2daad4f79cdc915bff721d12fdf8e2e95da2390049c7c131c7d65b215b96",
+    "zipf_fit_medium.json": "694f3bf9cf2442b4c7d6f098e76930124be1be576050b7394f71c5190d5344db",
+}
+LF_ONLY = {"budget_path.csv", "threshold_breaches.csv"}
+
+
+def test_pipeline_golden_bytes(tmp_path):
+    panel_path, deflator_path = _synth(tmp_path)
+    out = tmp_path / "out"
+    io = ["--panel", panel_path, "--deflator", deflator_path, "--out", str(out)]
+    assert cli.main(["converge", *io, "--dt-max", "3"]) == 0
+    assert cli.main(["dist", *io, "--bins", "8", "--group", "all"]) == 0
+    assert cli.main(["scaling", *io]) == 0
+    # 0.65 leaves the late years with no breach, so empty fields are written
+    assert cli.main(["threshold", *io, "--threshold", "0.65"]) == 0
+    assert cli.main(["simulate", "--out", str(out), "--horizon", "3",
+                     "--dt-step", "0.25", "--budget-d0", "100",
+                     "--budget-deficit", "10"]) == 0
+    files = [*(tmp_path / "synth").iterdir(), *out.iterdir()]
+    assert sorted(f.name for f in files) == sorted(GOLDEN_SHA256)
+    for f in files:
+        data = f.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[f.name], f.name
+        if f.suffix != ".csv":
+            continue
+        # the stamp line ends in "\n"; rows in "\r\n", or "\n" in LF_ONLY
+        stamp, *rows, last = data.split(b"\n")
+        assert stamp.startswith(b"# debtkit ") and not stamp.endswith(b"\r")
+        assert last == b""
+        assert {row.endswith(b"\r") for row in rows} == {
+            f.name not in LF_ONLY}, f.name
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_missing_input_file_names_path(tmp_path, capsys):
@@ -220,12 +291,22 @@ def test_bad_model_params_exit_one(tmp_path, capsys):
 def test_data_error_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     d = tmp_path / "defl.csv"
-    p.write_text(PANEL_HEADER + "\nUS,2000,1e9,1e8,1e6,HIGH\n")
     d.write_text("year,deflator\n2000,1.0\n")
-    rc = cli.main(["converge", "--panel", str(p), "--deflator", str(d),
+    for row in ("US,2000,1e9,1e8,1e6,HIGH", "USA,2000,nan,1e8,1e6,HIGH"):
+        p.write_text(PANEL_HEADER + f"\n{row}\n")
+        rc = cli.main(["converge", "--panel", str(p), "--deflator", str(d),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["converge", "dist", "scaling", "threshold"])
+def test_header_only_panel_exits_two(tmp_path, capsys, command):
+    panel_path, deflator_path = _write_panel(tmp_path, [])
+    rc = cli.main([command, "--panel", panel_path, "--deflator", deflator_path,
                    "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "line 2" in capsys.readouterr().err
+    assert "no data rows" in capsys.readouterr().err
 
 
 def test_numerical_error_exits_three(tmp_path, capsys):

@@ -121,18 +121,21 @@ def test_unparseable_number_rejected(tmp_path):
 
 
 def test_nonpositive_population_rejected(tmp_path):
-    with pytest.raises(errors.NonPositive, match="population"):
-        _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,0.0,LOW")
+    for population in ("0.0", "nan", "inf"):
+        with pytest.raises(errors.NonPositive, match="line 3: .*population"):
+            _ingest_variant(tmp_path, f"BRA,2000,1e9,1e8,{population},LOW")
 
 
 def test_nonpositive_gdp_rejected(tmp_path):
-    with pytest.raises(errors.NonPositive, match="gdp"):
-        _ingest_variant(tmp_path, "BRA,2000,-1e9,1e8,1000.0,LOW")
+    for gdp in ("-1e9", "nan", "inf"):
+        with pytest.raises(errors.NonPositive, match="line 3: .*gdp"):
+            _ingest_variant(tmp_path, f"BRA,2000,{gdp},1e8,1000.0,LOW")
 
 
 def test_negative_debt_rejected(tmp_path):
-    with pytest.raises(errors.NonPositive, match="debt"):
-        _ingest_variant(tmp_path, "BRA,2000,1e9,-1.0,1000.0,LOW")
+    for debt in ("-1.0", "nan", "inf"):
+        with pytest.raises(errors.NonPositive, match="line 3: .*debt"):
+            _ingest_variant(tmp_path, f"BRA,2000,1e9,{debt},1000.0,LOW")
 
 
 def test_duplicate_country_year_rejected(tmp_path):
@@ -169,10 +172,13 @@ def test_deflator_base_year_must_be_one(tmp_path):
 
 
 def test_nonpositive_deflator_rejected(tmp_path):
-    text = "\n".join([DEFLATOR_HEADER, "2000,1.0", "2001,-0.5", ""])
-    with pytest.raises(errors.NonPositive, match="2001"):
-        _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0,LOW",
-                        deflator_text=text)
+    for value in ("-0.5", "nan", "inf"):
+        text = "\n".join([DEFLATOR_HEADER, "2000,1.0", f"2001,{value}", ""])
+        with pytest.raises(errors.NonPositive, match="line 3: .*2001"):
+            _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0,LOW",
+                            deflator_text=text)
+        with pytest.raises(errors.NonPositive, match="2001"):
+            panel.DeflatorSeries(values={2000: 1.0, 2001: float(value)})
 
 
 def test_income_group_parsed_case_insensitively(tmp_path):
