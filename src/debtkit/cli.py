@@ -31,6 +31,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+MAX_YEAR_SPAN = 10_000
 _NUMERIC_ERRORS = (NoConvergence, DegenerateSample, DegenerateX)
 
 
@@ -44,8 +45,9 @@ def _parse_years(text: str) -> list[int]:
         if ":" in part:
             lo, hi = part.split(":", 1)
             lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"year range {part!r} is reversed")
+            if not 0 <= hi - lo < MAX_YEAR_SPAN:
+                raise ValueError(f"year range {part!r} is reversed or longer "
+                                 f"than {MAX_YEAR_SPAN} years")
             years.update(range(lo, hi + 1))
         else:
             years.add(int(part))
@@ -196,6 +198,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = dynamics.ModelParams(c=args.c, gamma=args.gamma, r_pop=args.r_pop,
                                   d0=args.d0, dt_step=args.dt_step,
                                   horizon=args.horizon)
+    # built before the simulation so that a rejected flag writes no file
+    budget_params = None if args.budget_d0 is None else dynamics.BudgetParams(
+        d0=args.budget_d0, interest=args.budget_interest,
+        primary_deficit=args.budget_deficit, horizon=int(round(args.horizon)))
     path_result = dynamics.simulate_model(params)
     out = _out_dir(args)
     header = _header(args)
@@ -203,11 +209,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     dynamics.write_simpath_csv(path_result, sim_path, header_comment=header)
     print(f"wrote {sim_path} ({len(path_result.times)} points, "
           f"{path_result.terminal_flag.value})")
-    if args.budget_d0 is not None:
-        budget = dynamics.step_debt(dynamics.BudgetParams(
-            d0=args.budget_d0, interest=args.budget_interest,
-            primary_deficit=args.budget_deficit,
-            horizon=int(round(args.horizon))))
+    if budget_params is not None:
+        budget = dynamics.step_debt(budget_params)
         budget_path = out / "budget_path.csv"
         panel.write_table(budget_path, ["t", "D"], enumerate(budget.tolist()),
                           header, lineterminator="\n")

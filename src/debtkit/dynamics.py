@@ -27,6 +27,8 @@ from .panel import IncomeGroup, PerCapitaObservation, write_table
 
 BLOWUP_THRESHOLD = 1e12
 UNDERFLOW_THRESHOLD = 1e-12
+# most Euler steps or budget years one call may ask for
+MAX_STEPS = 10_000_000
 
 
 class TerminalFlag(Enum):
@@ -49,8 +51,9 @@ class BudgetParams:
     horizon: int
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1 year, got {self.horizon}")
+        if not 1 <= self.horizon <= MAX_STEPS:
+            raise ValueError(f"horizon must lie in [1, {MAX_STEPS}] years, "
+                             f"got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,8 @@ class ModelParams:
             raise ValueError(f"gamma must lie in (0, 1.2], got {self.gamma!r}")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
+        if not self.horizon / self.dt_step <= MAX_STEPS:
+            raise ValueError(f"more than {MAX_STEPS} Euler steps requested")
 
 
 @dataclass(eq=False)
@@ -155,8 +160,6 @@ def simulate_model(params: ModelParams) -> SimPath:
 
 def _country_code(index: int) -> str:
     """Three-letter synthetic code: 0 -> AAA, 1 -> AAB, ..."""
-    if not 0 <= index < 26 ** 3:
-        raise ValueError(f"country index {index} out of range")
     a, rem = divmod(index, 26 * 26)
     b, c = divmod(rem, 26)
     return chr(65 + a) + chr(65 + b) + chr(65 + c)
@@ -182,8 +185,8 @@ def synthetic_convergent_panel(
     Observations are emitted year-major, country index order, and are fully
     determined by the arguments.
     """
-    if n_countries < 3:
-        raise ValueError(f"need at least 3 countries, got {n_countries}")
+    if not 3 <= n_countries <= 26 ** 3:  # one three-letter code each
+        raise ValueError(f"need 3 to {26 ** 3} countries, got {n_countries}")
     year_list = sorted({int(y) for y in years})
     if not year_list:
         raise ValueError("years must be nonempty")

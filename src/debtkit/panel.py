@@ -147,32 +147,35 @@ class PerCapitaObservation:
     income_group: IncomeGroup
 
 
-def _csv_rows(path: Path):
-    """Yield (line_no, fields) for data lines, skipping blanks and # comments."""
+def read_table(path: "str | Path", header: list[str], types: tuple):
+    """Yield (line_no, fields) per data row, skipping blank and # lines.
+
+    The first row must match header once trimmed, every later row must have
+    as many fields, and field i is converted by types[i]. A fault raises
+    MalformedRow naming its 1-based line.
+    """
     with open(path, newline="", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield line_no, next(csv.reader([line]))
+        rows = ((n, next(csv.reader([line]))) for n, line in enumerate(f, 1)
+                if line.strip() and not line.strip().startswith("#"))
+        first = next(rows, None)
+        if first is None or [h.strip() for h in first[1]] != header:
+            raise MalformedRow(f"{path}: expected header {','.join(header)!r}",
+                               line=None if first is None else first[0])
+        for line_no, row in rows:
+            if len(row) != len(header):
+                raise MalformedRow(f"expected {len(header)} fields, "
+                                   f"got {len(row)}", line=line_no)
+            try:
+                fields = [convert(x) for convert, x in zip(types, row)]
+            except ValueError as exc:
+                raise MalformedRow(str(exc), line=line_no) from None
+            yield line_no, fields
 
 
 def _parse_deflator_csv(path: Path) -> DeflatorSeries:
     values: dict[int, float] = {}
-    rows = _csv_rows(path)
-    first = next(rows, None)
-    if first is None or [h.strip() for h in first[1]] != DEFLATOR_HEADER:
-        raise MalformedRow(
-            f"{path}: expected header {','.join(DEFLATOR_HEADER)!r}",
-            line=None if first is None else first[0])
-    for line_no, row in rows:
-        if len(row) != 2:
-            raise MalformedRow(f"expected 2 fields, got {len(row)}", line=line_no)
-        try:
-            year = int(row[0])
-            value = float(row[1])
-        except ValueError as exc:
-            raise MalformedRow(str(exc), line=line_no) from None
+    for line_no, (year, value) in read_table(path, DEFLATOR_HEADER,
+                                             (int, float)):
         if year in values:
             raise DuplicateKey(f"duplicate deflator year {year}", line=line_no)
         if not 0 < value < math.inf:
@@ -191,28 +194,14 @@ def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
     deflator = _parse_deflator_csv(Path(deflator_path))
     records: list[CountryYearRecord] = []
     seen: set[tuple[str, int]] = set()
-    rows = _csv_rows(Path(path))
-    first = next(rows, None)
-    if first is None or [h.strip() for h in first[1]] != PANEL_HEADER:
-        raise MalformedRow(
-            f"{path}: expected header {','.join(PANEL_HEADER)!r}",
-            line=None if first is None else first[0])
-    for line_no, row in rows:
-        if len(row) != 6:
-            raise MalformedRow(f"expected 6 fields, got {len(row)}", line=line_no)
-        code = row[0].strip().upper()
+    rows = read_table(path, PANEL_HEADER, (str, int, float, float, float, str))
+    for line_no, (code, year, gdp, debt, population, group) in rows:
+        code = code.strip().upper()
         try:
-            year = int(row[1])
-            gdp = float(row[2])
-            debt = float(row[3])
-            population = float(row[4])
-        except ValueError as exc:
-            raise MalformedRow(str(exc), line=line_no) from None
-        try:
-            group = IncomeGroup(row[5].strip().upper())
+            group = IncomeGroup(group.strip().upper())
         except ValueError:
             raise MalformedRow(
-                f"income_group {row[5]!r} not one of LOW/MEDIUM/HIGH",
+                f"income_group {group!r} not one of LOW/MEDIUM/HIGH",
                 line=line_no) from None
         key = (code, year)
         if key in seen:
@@ -251,20 +240,19 @@ def normalize(panel: Panel) -> list[PerCapitaObservation]:
     return out
 
 
+_ATTRIBUTES = {Variable.DEBT_PER_CAPITA: "d", Variable.GDP_PER_CAPITA: "g",
+               Variable.RATIO_R: "ratio_R"}
+
+
 def value_of(obs: PerCapitaObservation, variable: "Variable | str") -> float:
-    variable = as_variable(variable)
-    if variable is Variable.DEBT_PER_CAPITA:
-        return obs.d
-    if variable is Variable.GDP_PER_CAPITA:
-        return obs.g
-    return obs.ratio_R
+    return getattr(obs, _ATTRIBUTES[as_variable(variable)])
 
 
 def cross_section(obs: Iterable[PerCapitaObservation], year: int,
                   field: "Variable | str") -> dict[str, float]:
     """Map country_code -> field value for one year, sorted by country code."""
-    field = as_variable(field)
-    section = {o.country_code: value_of(o, field) for o in obs if o.year == year}
+    name = _ATTRIBUTES[as_variable(field)]
+    section = {o.country_code: getattr(o, name) for o in obs if o.year == year}
     if not section:
         raise EmptyCrossSection(f"no country has data for year {year}")
     return dict(sorted(section.items()))

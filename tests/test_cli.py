@@ -273,12 +273,25 @@ def test_missing_input_file_names_path(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["converge"]) == 1  # missing required flags
     assert cli.main(["dist", "--panel", "p", "--deflator", "d", "--out", "o",
                      "--group", "royalty"]) == 1
+    capsys.readouterr()
+    assert cli.main(["synth", "--out", str(tmp_path / "o"), "--n-countries",
+                     "3", "--years", "1:10001"]) == 1
+    assert "10000 years" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_parse_years():
+    assert cli._parse_years("1990:1992, 1980,1991") == [1980, 1990, 1991, 1992]
+    assert cli._parse_years("5:10004") == list(range(5, 10005))  # 10000 years
+    for text in ("1992:1990", "1:10001", ",", "19x0"):
+        with pytest.raises(ValueError):
+            cli._parse_years(text)
 
 
 def test_bad_model_params_exit_one(tmp_path, capsys):
@@ -286,6 +299,12 @@ def test_bad_model_params_exit_one(tmp_path, capsys):
                    "--gamma", "5.0"])
     assert rc == 1
     assert "gamma" in capsys.readouterr().err
+    # the budget horizon rounds to 0 years: rejected before simpath.csv
+    rc = cli.main(["simulate", "--out", str(tmp_path / "o"),
+                   "--horizon", "0.4", "--budget-d0", "1.0"])
+    assert rc == 1
+    assert "horizon" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_data_error_exits_two(tmp_path, capsys):

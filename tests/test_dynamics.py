@@ -55,6 +55,10 @@ def test_step_debt_series_length_mismatch():
     with pytest.raises(ValueError):
         dynamics.BudgetParams(d0=1.0, interest=0.0, primary_deficit=0.0,
                               horizon=0)
+    # rejected at construction, before step_debt allocates horizon + 1 floats
+    with pytest.raises(ValueError, match="10000000"):
+        dynamics.BudgetParams(d0=1.0, interest=0.0, primary_deficit=0.0,
+                              horizon=dynamics.MAX_STEPS + 1)
 
 
 # ------------------------------------------------------------- Euler model
@@ -78,6 +82,11 @@ def test_model_param_guards():
     with pytest.raises(ValueError):
         _params(horizon=-1.0)
     _params(gamma=1.2)  # boundary included
+    # the step count is checked at construction, before any step is taken
+    for horizon in (10_000.01, math.inf, math.nan):
+        with pytest.raises(ValueError, match="10000000"):
+            _params(dt_step=1e-3, horizon=horizon)
+    _params(dt_step=1.0, horizon=float(dynamics.MAX_STEPS))  # boundary included
 
 
 def test_growth_rate_and_slope_values():
@@ -289,10 +298,11 @@ def test_synthetic_panel_monte_carlo_beta_recovery():
 
 
 def test_synthetic_panel_guards():
-    with pytest.raises(ValueError):
-        dynamics.synthetic_convergent_panel(
-            n_countries=2, years=[2000], alpha=0.0, beta=0.0, sigma=0.1,
-            seed=0)
+    for n_countries in (2, 26 ** 3 + 1):
+        with pytest.raises(ValueError, match="17576"):
+            dynamics.synthetic_convergent_panel(
+                n_countries=n_countries, years=[2000], alpha=0.0, beta=0.0,
+                sigma=0.1, seed=0)
     with pytest.raises(errors.InvalidBeta):
         dynamics.synthetic_convergent_panel(
             n_countries=5, years=[2000, 2001], alpha=0.0, beta=1.0, sigma=0.1,

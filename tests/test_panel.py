@@ -1,8 +1,13 @@
 """Panel ingestion, validation, and per-capita normalization tests."""
 
 import math
+import string
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debtkit import errors, panel
 
@@ -103,6 +108,10 @@ def _ingest_variant(tmp_path, row, deflator_text=DEFLATOR_TEXT):
 def test_malformed_row_reports_line_number(tmp_path):
     with pytest.raises(errors.MalformedRow, match="line 3"):
         _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0")  # 5 fields
+    text = "\n".join([DEFLATOR_HEADER, "2000,1.0", "2001,1.25,7", ""])
+    with pytest.raises(errors.MalformedRow, match="line 3: expected 2 fields"):
+        _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0,LOW",
+                        deflator_text=text)
 
 
 def test_bad_country_code_rejected(tmp_path):
@@ -118,6 +127,11 @@ def test_bad_income_group_rejected(tmp_path):
 def test_unparseable_number_rejected(tmp_path):
     with pytest.raises(errors.MalformedRow, match="line 3"):
         _ingest_variant(tmp_path, "BRA,2000,abc,1e8,1000.0,LOW")
+    for row in ("2001.5,1.25", "2001,abc"):
+        text = "\n".join([DEFLATOR_HEADER, "2000,1.0", row, ""])
+        with pytest.raises(errors.MalformedRow, match="line 3"):
+            _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0,LOW",
+                            deflator_text=text)
 
 
 def test_nonpositive_population_rejected(tmp_path):
@@ -153,8 +167,19 @@ def test_wrong_panel_header_rejected(tmp_path):
     d = tmp_path / "d.csv"
     p.write_text("code,year\nUSA,2000\n")
     d.write_text(DEFLATOR_TEXT)
-    with pytest.raises(errors.MalformedRow, match="expected header"):
+    with pytest.raises(errors.MalformedRow, match="line 1: .*expected header"):
         panel.ingest_csv(p, d)
+    # the first line that is neither blank nor a comment is the header
+    d.write_text("# stamp\n\nyear,value\n2000,1.0\n")
+    p.write_text(PANEL_TEXT)
+    with pytest.raises(errors.MalformedRow, match="line 3: .*expected header"):
+        panel.ingest_csv(p, d)
+    # a file of comments and blanks has no header line to name
+    d.write_text(DEFLATOR_TEXT)
+    p.write_text("# stamp only\n\n  # indented comment\n")
+    with pytest.raises(errors.MalformedRow, match="expected header") as info:
+        panel.ingest_csv(p, d)
+    assert info.value.line is None
 
 
 def test_deflator_missing_base_year_rejected(tmp_path):
@@ -260,3 +285,34 @@ def test_write_and_reingest_roundtrip(paths, tmp_path):
         assert math.isclose(after.g, before.g, rel_tol=1e-12)
         assert math.isclose(after.ratio_R, before.ratio_R, rel_tol=1e-12)
         assert after.income_group == before.income_group
+
+
+_POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+_RECORDS = st.lists(
+    st.builds(panel.CountryYearRecord,
+              country_code=st.text(string.ascii_uppercase, min_size=3,
+                                   max_size=3),
+              year=st.integers(1800, 2100),
+              gdp_nominal=_POSITIVE,
+              debt_nominal=st.floats(min_value=0.0, max_value=1e300),
+              population=_POSITIVE,
+              income_group=st.sampled_from(panel.IncomeGroup)),
+    max_size=30, unique_by=lambda rec: (rec.country_code, rec.year))
+
+
+@settings(derandomize=True, database=None)
+@given(records=_RECORDS, data=st.data())
+def test_written_panel_reads_back_equal(records, data):
+    years = sorted({rec.year for rec in records} | {panel.BASE_YEAR})
+    values = {year: data.draw(_POSITIVE) for year in years}
+    values[panel.BASE_YEAR] = 1.0
+    deflator = panel.DeflatorSeries(values=values)
+    stamp = "debtkit 0.1.0 config=000000000000 log=natural"
+    with tempfile.TemporaryDirectory() as tmp:
+        p, d = Path(tmp) / "panel.csv", Path(tmp) / "deflator.csv"
+        panel.write_panel_csv(p, records, header_comment=stamp)
+        panel.write_deflator_csv(d, deflator, header_comment=stamp)
+        again = panel.ingest_csv(p, d)
+    assert again.records == tuple(records)
+    assert again.deflator.values == deflator.values
