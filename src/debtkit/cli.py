@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -251,6 +252,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if not 0 < args.population < math.inf:
+        raise ValueError(f"--population must be finite and > 0, "
+                         f"got {args.population!r}")
     years = _parse_years(args.years)
     obs = dynamics.synthetic_convergent_panel(
         n_countries=args.n_countries, years=years, alpha=args.alpha,

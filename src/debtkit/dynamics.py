@@ -54,6 +54,9 @@ class BudgetParams:
         if not 1 <= self.horizon <= MAX_STEPS:
             raise ValueError(f"horizon must lie in [1, {MAX_STEPS}] years, "
                              f"got {self.horizon}")
+        for name in ("d0", "interest", "primary_deficit"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"budget {name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,16 @@ class ModelParams:
     horizon: float
 
     def __post_init__(self):
-        if self.d0 <= 0:
-            raise ValueError(f"d0 must be > 0, got {self.d0!r}")
-        if self.dt_step <= 0:
-            raise ValueError(f"dt_step must be > 0, got {self.dt_step!r}")
+        for name in ("c", "r_pop"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
+        # chained comparisons are false for NaN, so they reject it too
+        if not 0 < self.d0 < math.inf:
+            raise ValueError(f"d0 must be finite and > 0, got {self.d0!r}")
+        if not 0 < self.dt_step < math.inf:
+            raise ValueError(
+                f"dt_step must be finite and > 0, got {self.dt_step!r}")
         if not 0 < self.gamma <= 1.2:
             raise ValueError(f"gamma must lie in (0, 1.2], got {self.gamma!r}")
         if self.horizon <= 0:

@@ -20,6 +20,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (
     DuplicateKey,
     EmptyCrossSection,
@@ -256,6 +258,50 @@ def cross_section(obs: Iterable[PerCapitaObservation], year: int,
     if not section:
         raise EmptyCrossSection(f"no country has data for year {year}")
     return dict(sorted(section.items()))
+
+
+@dataclass(frozen=True, eq=False)
+class YearMatrix:
+    """One field as a dense country x year matrix.
+
+    Rows are the country codes in sorted order and columns the years in
+    sorted order. present marks the cells some observation filled, so a
+    stored 0 or NaN stays distinct from a missing country-year.
+    """
+
+    codes: tuple[str, ...]
+    columns: dict[int, int]  # year -> column index
+    values: np.ndarray       # float, shape (len(codes), len(columns))
+    present: np.ndarray      # bool, same shape
+
+    def column(self, year: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, present) of one year, rows in country-code order."""
+        j = self.columns.get(year)
+        if j is None:
+            raise EmptyCrossSection(f"no country has data for year {year}")
+        return self.values[:, j], self.present[:, j]
+
+
+def year_matrix(obs: Iterable[PerCapitaObservation],
+                field: "Variable | str") -> YearMatrix:
+    """Build field's YearMatrix in one pass over obs.
+
+    A duplicate country-year keeps its last value, as in cross_section.
+    """
+    name = _ATTRIBUTES[as_variable(field)]
+    cells = {(o.country_code, o.year): getattr(o, name) for o in obs}
+    codes = sorted({code for code, _ in cells})
+    years = sorted({year for _, year in cells})
+    row = {code: i for i, code in enumerate(codes)}
+    columns = {year: j for j, year in enumerate(years)}
+    # column-major, so that each year's column is contiguous
+    values = np.zeros((len(codes), len(years)), order="F")
+    present = np.zeros(values.shape, dtype=bool, order="F")
+    index = ([row[code] for code, _ in cells],
+             [columns[year] for _, year in cells])
+    values[index] = list(cells.values())
+    present[index] = True
+    return YearMatrix(tuple(codes), columns, values, present)
 
 
 def filter_income_group(obs: Iterable[PerCapitaObservation],

@@ -25,8 +25,10 @@ from .errors import (
     TooFewCountries,
     TooFewPoints,
 )
-from .panel import (PerCapitaObservation, Variable, as_variable, cross_section,
-                    write_table)
+# cross_section is not called here, but perfbench/tracer.py wraps
+# regress.cross_section by name
+from .panel import (PerCapitaObservation, Variable, YearMatrix, as_variable,
+                    cross_section, write_table, year_matrix)
 
 SURFACE_CSV_HEADER = ["variable", "t", "dt", "S", "beta", "alpha",
                       "r_squared", "n_countries"]
@@ -118,28 +120,18 @@ def growth_rate(v_start: float, v_end: float, dt: float) -> float:
     return math.log(v_end / v_start) / dt
 
 
-def convergence_regression(obs: Iterable[PerCapitaObservation],
-                           variable: "Variable | str", t: int,
-                           dt: int) -> ConvergenceFit:
-    """Regress log v(t+dt) on log v(t) across countries.
-
-    Countries lacking either endpoint, or with a non-positive value at
-    either endpoint, are excluded and counted in n_excluded.
-    """
-    variable = as_variable(variable)
-    obs = list(obs)
-    start = cross_section(obs, t, variable)
-    end = cross_section(obs, t + dt, variable)
-    usable = [c for c in start
-              if c in end and start[c] > 0 and end[c] > 0]
-    n_excluded = len(set(start) | set(end)) - len(usable)
-    if len(usable) < 3:
+def _fit_cell(matrix: YearMatrix, variable: Variable, t: int,
+              dt: int) -> ConvergenceFit:
+    """Regress log v(t+dt) on log v(t) over the rows positive at both ends."""
+    x, x_present = matrix.column(t)
+    y, y_present = matrix.column(t + dt)
+    usable = x_present & y_present & (x > 0) & (y > 0)
+    n_usable = int(np.count_nonzero(usable))
+    if n_usable < 3:
         raise TooFewCountries(
-            f"{len(usable)} countries with positive {variable.value} at both "
+            f"{n_usable} countries with positive {variable.value} at both "
             f"{t} and {t + dt}; need >= 3")
-    log_start = np.log([start[c] for c in usable])
-    log_end = np.log([end[c] for c in usable])
-    fit = ols(log_start, log_end)
+    fit = ols(np.log(x[usable]), np.log(y[usable]))
     return ConvergenceFit(
         variable=variable,
         t=t,
@@ -149,8 +141,20 @@ def convergence_regression(obs: Iterable[PerCapitaObservation],
         alpha=fit.intercept / dt,
         r_squared=fit.r_squared,
         n_countries=fit.n,
-        n_excluded=n_excluded,
+        n_excluded=int(np.count_nonzero(x_present | y_present)) - n_usable,
     )
+
+
+def convergence_regression(obs: Iterable[PerCapitaObservation],
+                           variable: "Variable | str", t: int,
+                           dt: int) -> ConvergenceFit:
+    """Regress log v(t+dt) on log v(t) across countries.
+
+    Countries lacking either endpoint, or with a non-positive value at
+    either endpoint, are excluded and counted in n_excluded.
+    """
+    variable = as_variable(variable)
+    return _fit_cell(year_matrix(obs, variable), variable, t, dt)
 
 
 def slope_surface(obs: Iterable[PerCapitaObservation], variable: "Variable | str",
@@ -167,14 +171,14 @@ def slope_surface(obs: Iterable[PerCapitaObservation], variable: "Variable | str
     if dt_max < 1:
         raise ValueError(f"dt_max must be >= 1, got {dt_max}")
     variable = as_variable(variable)
-    obs = list(obs)
+    matrix = year_matrix(obs, variable)
     entries: list[ConvergenceFit] = []
     n_dropped = 0
     n_skipped = 0
     for t in t_list:
         for dt in range(1, dt_max + 1):
             try:
-                fit = convergence_regression(obs, variable, t, dt)
+                fit = _fit_cell(matrix, variable, t, dt)
             except (TooFewCountries, EmptyCrossSection):
                 n_skipped += 1
                 continue

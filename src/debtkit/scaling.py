@@ -13,7 +13,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyCrossSection, TooFewCountries
-from .panel import PerCapitaObservation, Variable, cross_section, write_table
+# cross_section is not called here, but perfbench/tracer.py wraps
+# scaling.cross_section by name
+from .panel import (PerCapitaObservation, Variable, YearMatrix, cross_section,
+                    write_table, year_matrix)
 from .regress import ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
@@ -31,22 +34,32 @@ class ScalingFit:
     n_excluded: int = 0  # countries with d <= 0 or g <= 0 that year
 
 
+def _fit_year(d: YearMatrix, g: YearMatrix, year: int) -> ScalingFit:
+    """OLS of log g on log d over the rows with positive d and g in year."""
+    # d and g come from the same observations, so they share rows and presence
+    d_year, present = d.column(year)
+    g_year, _ = g.column(year)
+    usable = present & (d_year > 0) & (g_year > 0)
+    n_usable = int(np.count_nonzero(usable))
+    if n_usable < 3:
+        raise TooFewCountries(
+            f"{n_usable} countries with positive d and g in {year}; need >= 3")
+    fit = ols(np.log(d_year[usable]), np.log(g_year[usable]))
+    return ScalingFit(year=year, gamma=fit.slope, log_A=fit.intercept,
+                      r_squared=fit.r_squared, n_countries=fit.n,
+                      n_excluded=int(np.count_nonzero(present)) - n_usable)
+
+
+def _d_and_g(obs: Iterable[PerCapitaObservation]) -> tuple[YearMatrix, YearMatrix]:
+    obs = list(obs)
+    return (year_matrix(obs, Variable.DEBT_PER_CAPITA),
+            year_matrix(obs, Variable.GDP_PER_CAPITA))
+
+
 def fit_gdp_debt_scaling(obs: Iterable[PerCapitaObservation],
                          year: int) -> ScalingFit:
     """OLS of log g on log d over countries with positive d and g in a year."""
-    obs = list(obs)
-    d_map = cross_section(obs, year, Variable.DEBT_PER_CAPITA)
-    g_map = cross_section(obs, year, Variable.GDP_PER_CAPITA)
-    usable = [c for c in d_map if d_map[c] > 0 and g_map.get(c, 0.0) > 0]
-    n_excluded = len(d_map) - len(usable)
-    if len(usable) < 3:
-        raise TooFewCountries(
-            f"{len(usable)} countries with positive d and g in {year}; need >= 3")
-    fit = ols(np.log([d_map[c] for c in usable]),
-              np.log([g_map[c] for c in usable]))
-    return ScalingFit(year=year, gamma=fit.slope, log_A=fit.intercept,
-                      r_squared=fit.r_squared, n_countries=fit.n,
-                      n_excluded=n_excluded)
+    return _fit_year(*_d_and_g(obs), year)
 
 
 def gamma_trend(obs: Iterable[PerCapitaObservation],
@@ -57,11 +70,11 @@ def gamma_trend(obs: Iterable[PerCapitaObservation],
     """
     if not years:
         raise ValueError("years must be nonempty")
-    obs = list(obs)
+    d, g = _d_and_g(obs)
     fits = []
     for year in years:
         try:
-            fits.append(fit_gdp_debt_scaling(obs, year))
+            fits.append(_fit_year(d, g, year))
         except (TooFewCountries, EmptyCrossSection):
             continue
     return fits

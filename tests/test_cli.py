@@ -283,6 +283,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "o"), "--n-countries",
                      "3", "--years", "1:10001"]) == 1
     assert "10000 years" in capsys.readouterr().err
+    for population in ("nan", "inf", "0"):
+        assert cli.main(["synth", "--out", str(tmp_path / "o"), "--years",
+                         "2000:2001", "--population", population]) == 1
+        assert "--population" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -304,6 +308,17 @@ def test_bad_model_params_exit_one(tmp_path, capsys):
                    "--horizon", "0.4", "--budget-d0", "1.0"])
     assert rc == 1
     assert "horizon" in capsys.readouterr().err
+    # non-finite model and budget flags are rejected before any file is written
+    for flag, name in (("--c", "c"), ("--gamma", "gamma"), ("--r-pop", "r_pop"),
+                       ("--d0", "d0"), ("--dt-step", "dt_step"),
+                       ("--budget-d0", "d0"), ("--budget-interest", "interest"),
+                       ("--budget-deficit", "primary_deficit")):
+        for value in ("nan", "inf"):
+            budget = [] if flag == "--budget-d0" else ["--budget-d0", "1.0"]
+            rc = cli.main(["simulate", "--out", str(tmp_path / "o"),
+                           "--horizon", "1", flag, value, *budget])
+            assert rc == 1
+            assert name in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

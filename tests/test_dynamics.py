@@ -87,6 +87,17 @@ def test_model_param_guards():
         with pytest.raises(ValueError, match="10000000"):
             _params(dt_step=1e-3, horizon=horizon)
     _params(dt_step=1.0, horizon=float(dynamics.MAX_STEPS))  # boundary included
+    # non-finite values fail every comparison, so each is checked by name
+    for name in ("c", "gamma", "r_pop", "d0", "dt_step"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                _params(**{name: value})
+    for name in ("d0", "interest", "primary_deficit"):
+        for value in (math.nan, math.inf, [0.0, math.nan]):
+            budget = dict(d0=1.0, interest=0.0, primary_deficit=0.0, horizon=2)
+            budget[name] = value
+            with pytest.raises(ValueError, match=name):
+                dynamics.BudgetParams(**budget)
 
 
 def test_growth_rate_and_slope_values():
