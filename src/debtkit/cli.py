@@ -33,7 +33,16 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 MAX_YEAR_SPAN = 10_000
+MAX_BINS = 1_000_000
 _NUMERIC_ERRORS = (NoConvergence, DegenerateSample, DegenerateX)
+_FLAG_RULES = {  # checked before a subcommand reads or writes any file
+    "--dt-max": (f"in [1, {MAX_YEAR_SPAN}]", lambda n: 1 <= n <= MAX_YEAR_SPAN),
+    "--bins": (f"in [1, {MAX_BINS}]", lambda n: 1 <= n <= MAX_BINS),
+    "--rank-window": ("LO HI with 1 <= LO <= HI", lambda w: 1 <= w[0] <= w[1]),
+    "--r2-min": ("finite", math.isfinite),
+    "--threshold": ("finite", math.isfinite),
+    "--population": ("finite and > 0", lambda x: 0 < x < math.inf),
+}
 
 
 def _parse_years(text: str) -> list[int]:
@@ -252,9 +261,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if not 0 < args.population < math.inf:
-        raise ValueError(f"--population must be finite and > 0, "
-                         f"got {args.population!r}")
     years = _parse_years(args.years)
     obs = dynamics.synthetic_convergent_panel(
         n_countries=args.n_countries, years=years, alpha=args.alpha,
@@ -381,6 +387,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:  # argparse exits for --help/--version/errors
         return int(exc.code or 0)
     try:
+        for flag, (rule, ok) in _FLAG_RULES.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and not ok(value):
+                raise ValueError(f"{flag} must be {rule}, got {value!r}")
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"debtkit: error: cannot read {exc.filename}", file=sys.stderr)

@@ -95,15 +95,14 @@ class DeflatorSeries:
     """Price index mapping year -> deflator, with the base year pinned to 1.0."""
 
     values: dict[int, float]
-    base_year: int = BASE_YEAR
 
     def __post_init__(self):
-        if self.base_year not in self.values:
-            raise MissingDeflator(f"base year {self.base_year} absent from series")
-        if self.values[self.base_year] != 1.0:
+        if BASE_YEAR not in self.values:
+            raise MissingDeflator(f"base year {BASE_YEAR} absent from series")
+        if self.values[BASE_YEAR] != 1.0:
             raise MalformedRow(
-                f"deflator at base year {self.base_year} must be exactly 1.0, "
-                f"got {self.values[self.base_year]!r}")
+                f"deflator at base year {BASE_YEAR} must be exactly 1.0, "
+                f"got {self.values[BASE_YEAR]!r}")
         for year, value in self.values.items():
             if not 0 < value < math.inf:
                 raise NonPositive(

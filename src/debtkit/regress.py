@@ -120,29 +120,29 @@ def growth_rate(v_start: float, v_end: float, dt: float) -> float:
     return math.log(v_end / v_start) / dt
 
 
-def _fit_cell(matrix: YearMatrix, variable: Variable, t: int,
-              dt: int) -> ConvergenceFit:
-    """Regress log v(t+dt) on log v(t) over the rows positive at both ends."""
-    x, x_present = matrix.column(t)
-    y, y_present = matrix.column(t + dt)
+def _log_log_fit(x_column, y_column, label: str) -> tuple[OlsFit, int]:
+    """OLS of log y on log x over rows present and > 0 in both (values,
+    present) columns; also counts the rows present in either but left out."""
+    (x, x_present), (y, y_present) = x_column, y_column
     usable = x_present & y_present & (x > 0) & (y > 0)
     n_usable = int(np.count_nonzero(usable))
     if n_usable < 3:
         raise TooFewCountries(
-            f"{n_usable} countries with positive {variable.value} at both "
-            f"{t} and {t + dt}; need >= 3")
-    fit = ols(np.log(x[usable]), np.log(y[usable]))
-    return ConvergenceFit(
-        variable=variable,
-        t=t,
-        dt=dt,
-        S=fit.slope,
-        beta=(1.0 - fit.slope) / dt,
-        alpha=fit.intercept / dt,
-        r_squared=fit.r_squared,
-        n_countries=fit.n,
-        n_excluded=int(np.count_nonzero(x_present | y_present)) - n_usable,
-    )
+            f"{n_usable} countries with positive {label}; need >= 3")
+    return (ols(np.log(x[usable]), np.log(y[usable])),
+            int(np.count_nonzero(x_present | y_present)) - n_usable)
+
+
+def _fit_cell(matrix: YearMatrix, variable: Variable, t: int,
+              dt: int) -> ConvergenceFit:
+    """Regress log v(t+dt) on log v(t) over the rows positive at both ends."""
+    fit, n_excluded = _log_log_fit(
+        matrix.column(t), matrix.column(t + dt),
+        f"{variable.value} at both {t} and {t + dt}")
+    return ConvergenceFit(variable=variable, t=t, dt=dt, S=fit.slope,
+                          beta=(1.0 - fit.slope) / dt, alpha=fit.intercept / dt,
+                          r_squared=fit.r_squared, n_countries=fit.n,
+                          n_excluded=n_excluded)
 
 
 def convergence_regression(obs: Iterable[PerCapitaObservation],

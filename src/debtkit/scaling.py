@@ -10,14 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import EmptyCrossSection, TooFewCountries
-# cross_section is not called here, but perfbench/tracer.py wraps
-# scaling.cross_section by name
+# cross_section and ols are not called here, but perfbench/tracer.py wraps
+# scaling.cross_section and scaling.ols by name
 from .panel import (PerCapitaObservation, Variable, YearMatrix, cross_section,
                     write_table, year_matrix)
-from .regress import ols
+from .regress import _log_log_fit, ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
 
@@ -36,18 +34,11 @@ class ScalingFit:
 
 def _fit_year(d: YearMatrix, g: YearMatrix, year: int) -> ScalingFit:
     """OLS of log g on log d over the rows with positive d and g in year."""
-    # d and g come from the same observations, so they share rows and presence
-    d_year, present = d.column(year)
-    g_year, _ = g.column(year)
-    usable = present & (d_year > 0) & (g_year > 0)
-    n_usable = int(np.count_nonzero(usable))
-    if n_usable < 3:
-        raise TooFewCountries(
-            f"{n_usable} countries with positive d and g in {year}; need >= 3")
-    fit = ols(np.log(d_year[usable]), np.log(g_year[usable]))
+    fit, n_excluded = _log_log_fit(d.column(year), g.column(year),
+                                   f"d and g in {year}")
     return ScalingFit(year=year, gamma=fit.slope, log_A=fit.intercept,
                       r_squared=fit.r_squared, n_countries=fit.n,
-                      n_excluded=int(np.count_nonzero(present)) - n_usable)
+                      n_excluded=n_excluded)
 
 
 def _d_and_g(obs: Iterable[PerCapitaObservation]) -> tuple[YearMatrix, YearMatrix]:

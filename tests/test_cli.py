@@ -273,7 +273,7 @@ def test_missing_input_file_names_path(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_one(tmp_path, capsys):
+def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["converge"]) == 1  # missing required flags
@@ -287,6 +287,21 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert cli.main(["synth", "--out", str(tmp_path / "o"), "--years",
                          "2000:2001", "--population", population]) == 1
         assert "--population" in capsys.readouterr().err
+    # analysis flags are checked before the panel is read or a file written
+    panel_path, deflator_path = small_panel
+    io = ["--panel", panel_path, "--deflator", deflator_path,
+          "--out", str(tmp_path / "o")]
+    for argv, expected in (
+            (["converge", "--r2-min", "nan"], "--r2-min must be finite"),
+            (["converge", "--r2-min=-inf"], "--r2-min must be finite"),
+            (["converge", "--dt-max", "10001"], "--dt-max must be in [1, 10000]"),
+            (["dist", "--bins", "1000001"], "--bins must be in [1, 1000000]"),
+            (["dist", "--rank-window", "0", "5"], "--rank-window"),
+            (["dist", "--rank-window", "3", "2"], "--rank-window"),
+            (["threshold", "--threshold", "nan"], "--threshold must be finite"),
+            (["threshold", "--threshold", "inf"], "--threshold must be finite")):
+        assert cli.main([*argv[:1], *io, *argv[1:]]) == 1
+        assert expected in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

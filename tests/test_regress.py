@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from debtkit import errors, panel, regress
 
@@ -68,6 +70,29 @@ def test_ols_shift_invariance():
     base = regress.ols(x, y)
     shifted = regress.ols(x + 1e8, y + 1e8)
     assert shifted.slope == pytest.approx(base.slope, abs=1e-6)
+
+
+_COORD = st.floats(min_value=-100.0, max_value=100.0)
+_SCALE = st.builds(lambda m, sign: m * sign,
+                   st.floats(min_value=0.01, max_value=100.0),
+                   st.sampled_from([-1.0, 1.0]))
+_SHIFT = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@settings(derandomize=True, database=None)
+@given(points=st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=30),
+       a=_SCALE, b=_SHIFT, c=_SCALE, e=_SHIFT)
+def test_ols_affine_invariance(points, a, b, c, e):
+    # x -> a*x + b and y -> c*y + e scale the slope by c/a and keep r^2
+    x, y = np.array(points).T
+    assume(np.ptp(x) >= 1.0 and np.ptp(y) >= 1.0)
+    base = regress.ols(x, y)
+    mapped = regress.ols(a * x + b, c * y + e)
+    # |slope| <= std(y)/std(x), so this bounds the error relative to the fit
+    scale = abs(c / a) * np.std(y) / np.std(x)
+    assert abs(mapped.slope - base.slope * c / a) <= 1e-9 * scale
+    assert mapped.r_squared == pytest.approx(base.r_squared, abs=1e-9)
+    assert mapped.n == base.n
 
 
 def test_ols_guards():
