@@ -34,6 +34,7 @@ from .panel import (
     DeflatorSeries,
     IncomeGroup,
     Panel,
+    PanelColumns,
     PerCapitaObservation,
     Variable,
     cross_section,
@@ -65,6 +66,7 @@ __all__ = [
     "ModelParams",
     "OlsFit",
     "Panel",
+    "PanelColumns",
     "PerCapitaObservation",
     "ScalingFit",
     "SimPath",

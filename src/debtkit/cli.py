@@ -61,8 +61,12 @@ def _parse_years(text: str) -> list[int]:
             years.update(range(lo, hi + 1))
         else:
             years.add(int(part))
+        if len(years) > MAX_YEAR_SPAN:
+            raise ValueError(f"--years names more than {MAX_YEAR_SPAN} years")
     if not years:
         raise ValueError(f"no years in {text!r}")
+    if min(years) not in panel.YEARS or max(years) not in panel.YEARS:
+        raise ValueError("--years must fit in 64-bit integers")
     return sorted(years)
 
 
@@ -93,7 +97,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _load_observations(args: argparse.Namespace) -> list[panel.PerCapitaObservation]:
+def _load_observations(args: argparse.Namespace) -> panel.PanelColumns:
     pl = panel.ingest_csv(args.panel, args.deflator)
     if not pl.records:
         raise EmptyPanel(f"{args.panel}: panel has no data rows")
@@ -103,7 +107,7 @@ def _load_observations(args: argparse.Namespace) -> list[panel.PerCapitaObservat
 def _years(args: argparse.Namespace, obs) -> list[int]:
     """The --years list, or else every panel year."""
     return _parse_years(args.years) if args.years else sorted(
-        {o.year for o in obs})
+        set(obs.year.tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -116,14 +120,15 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_converge(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
     # slope_surface needs both endpoints; cap initial years below the last one
-    last = max(o.year for o in obs)
+    last = int(obs.year.max())
     t_list = [t for t in _years(args, obs) if t < last]
+    # every surface is fitted before --out is made, so a failure writes nothing
+    surfaces = [regress.slope_surface(obs, variable, t_list, args.dt_max,
+                                      args.r2_min) for variable in panel.Variable]
     header = _header(args)
     out = _out_dir(args)
-    for variable in panel.Variable:
-        surface = regress.slope_surface(obs, variable, t_list, args.dt_max,
-                                        args.r2_min)
-        path = out / f"surface_{variable.value}.csv"
+    for surface in surfaces:
+        path = out / f"surface_{surface.variable.value}.csv"
         regress.write_surface_csv(surface, path, header_comment=header)
         print(f"wrote {path} ({len(surface.entries)} fits, "
               f"{surface.n_dropped} below r2_min, {surface.n_skipped} skipped)")
@@ -131,7 +136,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _dist_outputs(obs, suffix: str, args, out: Path, header: str) -> None:
-    samples = {"d": [o.d for o in obs], "R": [o.ratio_R for o in obs]}
+    samples = {"d": obs.d, "R": obs.ratio_R}
     for name, values in samples.items():
         path = out / f"pdf_{name}{suffix}.csv"
         dist.write_histogram_csv(dist.histogram_pdf(values, args.bins), path,
@@ -154,7 +159,7 @@ def _dist_outputs(obs, suffix: str, args, out: Path, header: str) -> None:
     zipf_payload["_meta"] = _meta(args)
     _write_json(out / f"zipf_fit{suffix}.json", zipf_payload)
 
-    positive_r = [v for v in samples["R"] if v > 0]
+    positive_r = samples["R"][samples["R"] > 0]
     n_zero = len(samples["R"]) - len(positive_r)
     if n_zero:
         print(f"note: {n_zero} zero-debt ratios excluded from the gamma fit",
@@ -232,19 +237,17 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
     out = _out_dir(args)
     header = _header(args)
-    positive_r = [o.ratio_R for o in obs if o.ratio_R > 0]
-    n_zero = sum(1 for o in obs if o.ratio_R == 0)
-    fit = dist.fit_gamma_mle(positive_r)
+    ratio = obs.ratio_R
+    n_zero = int((ratio == 0).sum())
+    fit = dist.fit_gamma_mle(ratio[ratio > 0])
     tail = fit.tail_probability(args.threshold)
 
     breaches_path = out / "threshold_breaches.csv"
-    by_year: dict[int, list] = {}
-    for o in obs:
-        by_year.setdefault(o.year, []).append(o)
     rows = []
-    for year, in_year in sorted(by_year.items()):
-        above = sorted(o.country_code for o in in_year if o.ratio_R > args.threshold)
-        rows.append((year, len(in_year), len(above), ";".join(above)))
+    for year in sorted(set(obs.year.tolist())):
+        in_year = obs.year == year
+        above = sorted(obs.country_code[in_year & (ratio > args.threshold)])
+        rows.append((year, int(in_year.sum()), len(above), ";".join(above)))
     panel.write_table(breaches_path, ["year", "n_countries", "n_above", "countries"],
                       rows, header, lineterminator="\n")
     print(f"wrote {breaches_path}")

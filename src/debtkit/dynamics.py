@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidBeta, NonPositiveDebt, SeriesLengthMismatch
-from .panel import IncomeGroup, PerCapitaObservation, write_table
+from .panel import IncomeGroup, PanelColumns, write_table
 
 BLOWUP_THRESHOLD = 1e12
 UNDERFLOW_THRESHOLD = 1e-12
@@ -184,7 +184,7 @@ def synthetic_convergent_panel(
     log_d0_range: tuple[float, float] = (-1.0, 3.0),
     a_prefactor: float = 2.0,
     scaling_gamma: float = 0.9,
-) -> list[PerCapitaObservation]:
+) -> PanelColumns:
     """Seeded synthetic panel with known convergence speed beta.
 
     Initial log d_i is uniform on log_d0_range; each year applies
@@ -219,24 +219,20 @@ def synthetic_convergent_panel(
         else:
             groups.append(IncomeGroup.HIGH)
     wanted = set(year_list)
-    obs: list[PerCapitaObservation] = []
+    d_parts = []
     for year in range(year_list[0], year_list[-1] + 1):
         if year in wanted:
-            d = np.exp(log_d)
-            g = a_prefactor * d ** scaling_gamma
-            for i in range(n_countries):
-                obs.append(PerCapitaObservation(
-                    country_code=codes[i],
-                    year=year,
-                    d=float(d[i]),
-                    g=float(g[i]),
-                    ratio_R=float(d[i] / g[i]),
-                    income_group=groups[i],
-                ))
+            d_parts.append(np.exp(log_d))
         if year < year_list[-1]:
             log_d = alpha + (1.0 - beta) * log_d + rng.normal(0.0, sigma,
                                                               n_countries)
-    return obs
+    d = np.concatenate(d_parts)
+    g = a_prefactor * d ** scaling_gamma
+    return PanelColumns(
+        country_code=np.array(codes * len(year_list), dtype=object),
+        year=np.repeat(np.array(year_list, dtype=np.int64), n_countries),
+        d=d, g=g, ratio_R=d / g,
+        income_group=np.array(groups * len(year_list), dtype=object))
 
 
 def write_simpath_csv(path_result: SimPath, path,

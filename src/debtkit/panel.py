@@ -35,6 +35,7 @@ PANEL_HEADER = ["country_code", "year", "gdp_nominal_usd", "debt_nominal_usd",
 DEFLATOR_HEADER = ["year", "deflator"]
 
 BASE_YEAR = 2000
+YEARS = range(-2 ** 63, 2 ** 63)  # years are stored as int64 columns
 
 # Per-capita amounts are expressed in thousands of base-year USD per person.
 _THOUSAND = 1e3
@@ -117,19 +118,10 @@ class DeflatorSeries:
 
 @dataclass(frozen=True)
 class Panel:
-    """Immutable, validated collection of records plus a deflator series."""
+    """Records plus a deflator series; ingest_csv validates, Panel() does not."""
 
     records: tuple[CountryYearRecord, ...]
     deflator: DeflatorSeries
-
-    def __post_init__(self):
-        seen: set[tuple[str, int]] = set()
-        for rec in self.records:
-            key = (rec.country_code, rec.year)
-            if key in seen:
-                raise DuplicateKey(f"duplicate country-year {key}")
-            seen.add(key)
-            self.deflator.value(rec.year)  # raises MissingDeflator
 
     def years(self) -> list[int]:
         return sorted({rec.year for rec in self.records})
@@ -146,6 +138,40 @@ class PerCapitaObservation:
     g: float
     ratio_R: float
     income_group: IncomeGroup
+
+
+# PerCapitaObservation's fields in order, with the dtype of each column
+_COLUMN_TYPES = {"country_code": object, "year": np.int64, "d": float,
+                 "g": float, "ratio_R": float, "income_group": object}
+
+
+@dataclass(frozen=True, eq=False)
+class PanelColumns:
+    """One array per PerCapitaObservation field, rows in input order; codes
+    and groups are object arrays, as numpy's str dtype drops trailing NULs."""
+
+    country_code: np.ndarray
+    year: np.ndarray
+    d: np.ndarray
+    g: np.ndarray
+    ratio_R: np.ndarray
+    income_group: np.ndarray
+
+    @classmethod
+    def of(cls, obs: Iterable[PerCapitaObservation]) -> "PanelColumns":
+        """obs itself, or the columns of an iterable of observations."""
+        if isinstance(obs, cls):
+            return obs
+        obs = list(obs)
+        return cls(*(np.array([getattr(o, name) for o in obs], dtype=dtype)
+                     for name, dtype in _COLUMN_TYPES.items()))
+
+    def __len__(self) -> int:
+        return len(self.year)
+
+    def __iter__(self):
+        return map(PerCapitaObservation,
+                   *(getattr(self, name).tolist() for name in _COLUMN_TYPES))
 
 
 def read_table(path: "str | Path", header: list[str], types: tuple):
@@ -177,6 +203,9 @@ def _parse_deflator_csv(path: Path) -> DeflatorSeries:
     values: dict[int, float] = {}
     for line_no, (year, value) in read_table(path, DEFLATOR_HEADER,
                                              (int, float)):
+        if year not in YEARS:
+            raise MalformedRow(f"year {year} does not fit in 64 bits",
+                               line=line_no)
         if year in values:
             raise DuplicateKey(f"duplicate deflator year {year}", line=line_no)
         if not 0 < value < math.inf:
@@ -219,26 +248,24 @@ def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
     return Panel(records=tuple(records), deflator=deflator)
 
 
-def normalize(panel: Panel) -> list[PerCapitaObservation]:
+def normalize(panel: Panel) -> PanelColumns:
     """Deflate and divide by population: one observation per panel record.
 
     d and g come out in thousands of base-year USD per person; ratio_R is
     taken from the nominal amounts (the deflator and population cancel).
     """
-    out = []
-    for rec in panel.records:
-        deflator = panel.deflator.value(rec.year)
-        d = rec.debt_nominal / deflator / rec.population / _THOUSAND
-        g = rec.gdp_nominal / deflator / rec.population / _THOUSAND
-        out.append(PerCapitaObservation(
-            country_code=rec.country_code,
-            year=rec.year,
-            d=d,
-            g=g,
-            ratio_R=rec.debt_nominal / rec.gdp_nominal,
-            income_group=rec.income_group,
-        ))
-    return out
+    records = panel.records
+    gdp, debt, population, deflator = np.array(
+        [(rec.gdp_nominal, rec.debt_nominal, rec.population,
+          panel.deflator.value(rec.year)) for rec in records],
+        dtype=float).reshape(-1, 4).T
+    with np.errstate(over="ignore"):  # inf, as Python float division gives
+        return PanelColumns(
+            np.array([rec.country_code for rec in records], dtype=object),
+            np.array([rec.year for rec in records], dtype=np.int64),
+            debt / deflator / population / _THOUSAND,
+            gdp / deflator / population / _THOUSAND, debt / gdp,
+            np.array([rec.income_group for rec in records], dtype=object))
 
 
 _ATTRIBUTES = {Variable.DEBT_PER_CAPITA: "d", Variable.GDP_PER_CAPITA: "g",
@@ -283,30 +310,32 @@ class YearMatrix:
 
 def year_matrix(obs: Iterable[PerCapitaObservation],
                 field: "Variable | str") -> YearMatrix:
-    """Build field's YearMatrix in one pass over obs.
+    """Build field's YearMatrix from the columns of obs.
 
     A duplicate country-year keeps its last value, as in cross_section.
     """
-    name = _ATTRIBUTES[as_variable(field)]
-    cells = {(o.country_code, o.year): getattr(o, name) for o in obs}
-    codes = sorted({code for code, _ in cells})
-    years = sorted({year for _, year in cells})
-    row = {code: i for i, code in enumerate(codes)}
-    columns = {year: j for j, year in enumerate(years)}
+    obs = PanelColumns.of(obs)
+    codes, row = np.unique(obs.country_code, return_inverse=True)
+    years, col = np.unique(obs.year, return_inverse=True)
+    # numpy leaves unspecified which repeated cell wins: assign last rows only
+    cell = col * len(codes) + row
+    last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]
+    row, col = row[last], col[last]
     # column-major, so that each year's column is contiguous
     values = np.zeros((len(codes), len(years)), order="F")
     present = np.zeros(values.shape, dtype=bool, order="F")
-    index = ([row[code] for code, _ in cells],
-             [columns[year] for _, year in cells])
-    values[index] = list(cells.values())
-    present[index] = True
-    return YearMatrix(tuple(codes), columns, values, present)
+    values[row, col] = getattr(obs, _ATTRIBUTES[as_variable(field)])[last]
+    present[row, col] = True
+    columns = {year: j for j, year in enumerate(years.tolist())}
+    return YearMatrix(tuple(codes.tolist()), columns, values, present)
 
 
 def filter_income_group(obs: Iterable[PerCapitaObservation],
-                        group: IncomeGroup) -> list:
-    """Subset of observations (or records) in the given income group, order kept."""
-    return [o for o in obs if o.income_group == group]
+                        group: IncomeGroup) -> PanelColumns:
+    """Subset of observations in the given income group, order kept."""
+    obs = PanelColumns.of(obs)
+    mask = obs.income_group == group
+    return PanelColumns(*(getattr(obs, name)[mask] for name in _COLUMN_TYPES))
 
 
 def records_from_observations(obs: Iterable[PerCapitaObservation],
@@ -316,17 +345,13 @@ def records_from_observations(obs: Iterable[PerCapitaObservation],
     Useful for serializing synthetic observations into the panel CSV schema
     so they round-trip through ingest_csv.
     """
-    return [
-        CountryYearRecord(
-            country_code=o.country_code,
-            year=o.year,
-            gdp_nominal=o.g * _THOUSAND * population,
-            debt_nominal=o.d * _THOUSAND * population,
-            population=population,
-            income_group=o.income_group,
-        )
-        for o in obs
-    ]
+    obs = PanelColumns.of(obs)
+    rows = zip(obs.country_code.tolist(), obs.year.tolist(),
+               (obs.g * _THOUSAND * population).tolist(),
+               (obs.d * _THOUSAND * population).tolist(),
+               obs.income_group.tolist())
+    return [CountryYearRecord(code, year, gdp, debt, population, group)
+            for code, year, gdp, debt, group in rows]
 
 
 def write_table(path: "str | Path", header: Iterable[str], rows: Iterable,

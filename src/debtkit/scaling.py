@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 from .errors import EmptyCrossSection, TooFewCountries
 # cross_section and ols are not called here, but perfbench/tracer.py wraps
 # scaling.cross_section and scaling.ols by name
-from .panel import (PerCapitaObservation, Variable, YearMatrix, cross_section,
-                    write_table, year_matrix)
+from .panel import (PanelColumns, PerCapitaObservation, Variable, YearMatrix,
+                    cross_section, write_table, year_matrix)
 from .regress import _log_log_fit, ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
@@ -42,7 +42,7 @@ def _fit_year(d: YearMatrix, g: YearMatrix, year: int) -> ScalingFit:
 
 
 def _d_and_g(obs: Iterable[PerCapitaObservation]) -> tuple[YearMatrix, YearMatrix]:
-    obs = list(obs)
+    obs = PanelColumns.of(obs)
     return (year_matrix(obs, Variable.DEBT_PER_CAPITA),
             year_matrix(obs, Variable.GDP_PER_CAPITA))
 

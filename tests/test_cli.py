@@ -283,6 +283,10 @@ def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "o"), "--n-countries",
                      "3", "--years", "1:10001"]) == 1
     assert "10000 years" in capsys.readouterr().err
+    # each range is short enough, but together they name 30,000 years
+    assert cli.main(["synth", "--out", str(tmp_path / "o"), "--n-countries",
+                     "3", "--years", "0:9999,10000:19999,20000:29999"]) == 1
+    assert "10000 years" in capsys.readouterr().err
     for population in ("nan", "inf", "0"):
         assert cli.main(["synth", "--out", str(tmp_path / "o"), "--years",
                          "2000:2001", "--population", population]) == 1
@@ -308,7 +312,8 @@ def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
 def test_parse_years():
     assert cli._parse_years("1990:1992, 1980,1991") == [1980, 1990, 1991, 1992]
     assert cli._parse_years("5:10004") == list(range(5, 10005))  # 10000 years
-    for text in ("1992:1990", "1:10001", ",", "19x0"):
+    for text in ("1992:1990", "1:10001", ",", "19x0",
+                 "0:9999,10000:19999,20000:29999", str(2 ** 63)):
         with pytest.raises(ValueError):
             cli._parse_years(text)
 
@@ -361,7 +366,7 @@ def test_header_only_panel_exits_two(tmp_path, capsys, command):
 def test_numerical_error_exits_three(tmp_path, capsys):
     # identical debt levels at the start year make log d constant: the
     # regression design matrix is degenerate, a numerical failure
-    rows = [
+    constant_d = [
         "AAA,2000,1e9,5e8,1e6,LOW",
         "BBB,2000,2e9,5e8,1e6,LOW",
         "CCC,2000,4e9,5e8,1e6,LOW",
@@ -369,9 +374,22 @@ def test_numerical_error_exits_three(tmp_path, capsys):
         "BBB,2001,2e9,6e8,1e6,LOW",
         "CCC,2001,4e9,7e8,1e6,LOW",
     ]
-    panel_path, deflator_path = _write_panel(tmp_path, rows)
-    rc = cli.main(["converge", "--panel", panel_path,
-                   "--deflator", deflator_path, "--out", str(tmp_path / "o"),
-                   "--years", "2000", "--dt-max", "1"])
-    assert rc == 3
-    assert "numerical" in capsys.readouterr().err
+    # d varies but g is constant in 2000: the d surface fits, the g one fails
+    constant_g = [
+        "AAA,2000,1e9,5e8,1e6,LOW",
+        "BBB,2000,1e9,6e8,1e6,LOW",
+        "CCC,2000,1e9,7e8,1e6,LOW",
+        "AAA,2001,1e9,4e8,1e6,LOW",
+        "BBB,2001,2e9,6e8,1e6,LOW",
+        "CCC,2001,4e9,9e8,1e6,LOW",
+    ]
+    for name, rows in (("d", constant_d), ("g", constant_g)):
+        panel_path, deflator_path = _write_panel(tmp_path, rows)
+        out = tmp_path / f"out_{name}"
+        rc = cli.main(["converge", "--panel", panel_path,
+                       "--deflator", deflator_path, "--out", str(out),
+                       "--years", "2000", "--dt-max", "1"])
+        assert rc == 3
+        assert "numerical" in capsys.readouterr().err
+        # every surface is fitted before any is written
+        assert not list(out.glob("surface_*.csv"))

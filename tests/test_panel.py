@@ -127,7 +127,7 @@ def test_bad_income_group_rejected(tmp_path):
 def test_unparseable_number_rejected(tmp_path):
     with pytest.raises(errors.MalformedRow, match="line 3"):
         _ingest_variant(tmp_path, "BRA,2000,abc,1e8,1000.0,LOW")
-    for row in ("2001.5,1.25", "2001,abc"):
+    for row in ("2001.5,1.25", "2001,abc", f"{2 ** 63},1.25"):
         text = "\n".join([DEFLATOR_HEADER, "2000,1.0", row, ""])
         with pytest.raises(errors.MalformedRow, match="line 3"):
             _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0,LOW",
@@ -160,6 +160,12 @@ def test_duplicate_country_year_rejected(tmp_path):
 def test_missing_deflator_year_rejected(tmp_path):
     with pytest.raises(errors.MissingDeflator, match="1984"):
         _ingest_variant(tmp_path, "BRA,1984,1e9,1e8,1000.0,LOW")
+    # a hand-built Panel is not validated; normalize still needs the deflator
+    record = panel.CountryYearRecord("BRA", 1984, 1e9, 1e8, 1000.0,
+                                     panel.IncomeGroup.LOW)
+    deflator = panel.DeflatorSeries(values={panel.BASE_YEAR: 1.0})
+    with pytest.raises(errors.MissingDeflator, match="1984"):
+        panel.normalize(panel.Panel(records=(record,), deflator=deflator))
 
 
 def test_wrong_panel_header_rejected(tmp_path):
@@ -224,7 +230,7 @@ def test_cross_section_sorted_by_country(paths):
 def test_value_of_and_as_variable(paths):
     p, d = paths
     obs = panel.normalize(panel.ingest_csv(p, d))
-    o = obs[0]
+    o = next(iter(obs))
     assert panel.value_of(o, "d") == o.d
     assert panel.value_of(o, "g") == o.g
     assert panel.value_of(o, panel.Variable.RATIO_R) == o.ratio_R
@@ -237,7 +243,7 @@ def test_filter_income_group(paths):
     obs = panel.normalize(panel.ingest_csv(p, d))
     high = panel.filter_income_group(obs, panel.IncomeGroup.HIGH)
     assert {o.country_code for o in high} == {"USA"}
-    assert panel.filter_income_group(obs, panel.IncomeGroup.LOW) == []
+    assert len(panel.filter_income_group(obs, panel.IncomeGroup.LOW)) == 0
 
 
 def test_ratio_times_gdp_recovers_debt(paths):
@@ -259,7 +265,7 @@ def test_filter_commutes_with_normalize(paths):
         )
     )
     normalized_first = panel.filter_income_group(panel.normalize(pl), group)
-    assert filtered_first == normalized_first
+    assert list(filtered_first) == list(normalized_first)
     assert filtered_first  # guard against trivially passing on empty output
 
 
@@ -316,3 +322,133 @@ def test_written_panel_reads_back_equal(records, data):
         again = panel.ingest_csv(p, d)
     assert again.records == tuple(records)
     assert again.deflator.values == deflator.values
+
+
+# ------------------------------------------- columns against row references
+
+def _normalize_rows(pl):
+    """The earlier normalize, one observation per record: the reference."""
+    out = []
+    for rec in pl.records:
+        deflator = pl.deflator.value(rec.year)
+        out.append(panel.PerCapitaObservation(
+            country_code=rec.country_code, year=rec.year,
+            d=rec.debt_nominal / deflator / rec.population / 1e3,
+            g=rec.gdp_nominal / deflator / rec.population / 1e3,
+            ratio_R=rec.debt_nominal / rec.gdp_nominal,
+            income_group=rec.income_group))
+    return out
+
+
+def _bits(observations):
+    return [(o.country_code, o.year, o.d.hex(), o.g.hex(), o.ratio_R.hex(),
+             o.income_group) for o in observations]
+
+
+# every finite positive float, subnormals and the largest included
+_ANY_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None)
+@given(records=st.lists(st.builds(
+           panel.CountryYearRecord,
+           country_code=st.sampled_from(["USA", "BRA", "JPN"]),
+           year=st.sampled_from([1999, 2000, 2001]),
+           gdp_nominal=_ANY_POSITIVE,
+           debt_nominal=st.one_of(st.sampled_from([0.0, -0.0]),
+                                  _ANY_POSITIVE),
+           population=_ANY_POSITIVE,
+           income_group=st.sampled_from(panel.IncomeGroup)), max_size=20),
+       deflators=st.tuples(_ANY_POSITIVE, _ANY_POSITIVE))
+def test_normalize_columns_bitwise_equal_row_loop(records, deflators):
+    deflator = panel.DeflatorSeries(
+        values={1999: deflators[0], 2000: 1.0, 2001: deflators[1]})
+    pl = panel.Panel(records=tuple(records), deflator=deflator)
+    assert _bits(panel.normalize(pl)) == _bits(_normalize_rows(pl))
+
+
+_FINITE_OR_INF = st.floats(allow_nan=False)
+
+# duplicate keys are likely, and codes may end in NUL
+_OBSERVATIONS = st.lists(st.builds(
+    panel.PerCapitaObservation,
+    country_code=st.one_of(st.sampled_from(["AAA", "AAA\x00", "\x00", ""]),
+                           st.text(max_size=5)),
+    year=st.one_of(st.sampled_from([1999, 2000]),
+                   st.integers(-2 ** 63, 2 ** 63 - 1)),
+    d=_FINITE_OR_INF, g=_FINITE_OR_INF, ratio_R=_FINITE_OR_INF,
+    income_group=st.sampled_from(panel.IncomeGroup)), max_size=20)
+
+
+@settings(derandomize=True, database=None)
+@given(rows=_OBSERVATIONS)
+def test_panel_columns_round_trip_rows(rows):
+    columns = panel.PanelColumns.of(rows)
+    assert panel.PanelColumns.of(columns) is columns
+    assert len(columns) == len(rows)
+    assert list(columns) == rows
+    assert _bits(columns) == _bits(rows)  # -0.0 stays -0.0
+
+
+@settings(derandomize=True, database=None)
+@given(rows=_OBSERVATIONS)
+def test_filter_income_group_equals_row_filter(rows):
+    columns = panel.PanelColumns.of(rows)
+    for group in panel.IncomeGroup:
+        assert list(panel.filter_income_group(columns, group)) == [
+            o for o in rows if o.income_group == group]
+
+
+# ---------------------------------------------- first error wins in ingest
+
+# fault -> the class ingest_csv raises for it
+_FAULTS = {"code": errors.MalformedRow, "number": errors.MalformedRow,
+           "population": errors.NonPositive, "debt": errors.NonPositive,
+           "group": errors.MalformedRow, "duplicate": errors.DuplicateKey,
+           "year": errors.MissingDeflator}
+
+
+def _corrupt(fields, fault, first, draw):
+    """Give one row's fields one fault; first is the (valid) first row."""
+    if fault == "code":
+        fields[0] = draw(st.sampled_from(["A1B", "AB", "ABCD", ""]))
+    elif fault == "number":
+        fields[draw(st.integers(1, 4))] = draw(st.sampled_from(
+            ["abc", "1.5.0", ""]))
+    elif fault == "population":
+        fields[4] = draw(st.sampled_from(["0.0", "-5", "nan"]))
+    elif fault == "debt":
+        fields[3] = draw(st.sampled_from(["-1.0", "-1e-300"]))
+    elif fault == "group":
+        fields[5] = "RICH"
+    elif fault == "duplicate":
+        fields[:2] = first[:2]
+    else:
+        fields[1] = "1984"
+
+
+@settings(derandomize=True, database=None)
+@given(data=st.data())
+def test_ingest_names_first_corrupted_line(data, tmp_path_factory):
+    draw = data.draw
+    n_rows = draw(st.integers(2, 8))
+    amount = st.floats(min_value=1.0, max_value=1e12)
+    rows = [[string.ascii_uppercase[i] * 3, str(2000 + i % 2),
+             repr(draw(amount)), repr(draw(amount)), repr(draw(amount)),
+             draw(st.sampled_from(["LOW", "medium", "HIGH"]))]
+            for i in range(n_rows)]
+    bad = draw(st.lists(st.integers(1, n_rows - 1), min_size=1, max_size=2,
+                        unique=True))
+    faults = [draw(st.sampled_from(sorted(_FAULTS))) for _ in bad]
+    for i, fault in zip(bad, faults):
+        _corrupt(rows[i], fault, rows[0], draw)
+    first_bad, first_fault = min(zip(bad, faults))
+
+    tmp = tmp_path_factory.mktemp("corrupt")
+    p, d = tmp / "panel.csv", tmp / "deflator.csv"
+    p.write_text("\n".join([PANEL_HEADER, *map(",".join, rows), ""]))
+    d.write_text(DEFLATOR_TEXT)
+    with pytest.raises(errors.IngestionError) as info:
+        panel.ingest_csv(p, d)
+    assert type(info.value) is _FAULTS[first_fault]
+    assert info.value.line == first_bad + 2  # the header is line 1
