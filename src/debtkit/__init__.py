@@ -36,6 +36,7 @@ from .panel import (
     Panel,
     PanelColumns,
     PerCapitaObservation,
+    RecordColumns,
     Variable,
     cross_section,
     filter_income_group,
@@ -68,6 +69,7 @@ __all__ = [
     "Panel",
     "PanelColumns",
     "PerCapitaObservation",
+    "RecordColumns",
     "ScalingFit",
     "SimPath",
     "SlopeSurface",

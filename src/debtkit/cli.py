@@ -26,13 +26,13 @@ from . import distributions as dist
 from . import dynamics, panel, regress, scaling
 from .errors import (DebtkitError, DegenerateSample, DegenerateX, EmptyPanel,
                      NoConvergence)
+from .panel import MAX_YEAR_SPAN
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-MAX_YEAR_SPAN = 10_000
 MAX_BINS = 1_000_000
 _NUMERIC_ERRORS = (NoConvergence, DegenerateSample, DegenerateX)
 _FLAG_RULES = {  # checked before a subcommand reads or writes any file
@@ -42,6 +42,13 @@ _FLAG_RULES = {  # checked before a subcommand reads or writes any file
     "--r2-min": ("finite", math.isfinite),
     "--threshold": ("finite", math.isfinite),
     "--population": ("finite and > 0", lambda x: 0 < x < math.inf),
+    "--alpha": ("finite", math.isfinite),
+    "--beta": ("finite", math.isfinite),
+    "--scaling-gamma": ("finite", math.isfinite),
+    "--sigma": ("finite and >= 0", lambda x: 0 <= x < math.inf),
+    "--a-prefactor": ("finite and > 0", lambda x: 0 < x < math.inf),
+    "--log-d0-range": ("LO HI, finite, with LO < HI",
+                       lambda r: -math.inf < r[0] < r[1] < math.inf),
 }
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidBeta, NonPositiveDebt, SeriesLengthMismatch
-from .panel import IncomeGroup, PanelColumns, write_table
+from .panel import MAX_YEAR_SPAN, IncomeGroup, PanelColumns, write_table
 
 BLOWUP_THRESHOLD = 1e12
 UNDERFLOW_THRESHOLD = 1e-12
@@ -199,6 +199,10 @@ def synthetic_convergent_panel(
     year_list = sorted({int(y) for y in years})
     if not year_list:
         raise ValueError("years must be nonempty")
+    # the panel is evolved through every year from the first to the last
+    if year_list[-1] - year_list[0] >= MAX_YEAR_SPAN:
+        raise ValueError(f"years span more than {MAX_YEAR_SPAN} years from "
+                         "first to last")
     # evolution is annual, so the per-step factor (1 - beta) must stay positive
     if beta >= 1.0:
         raise InvalidBeta(f"beta = {beta!r} >= 1; yearly slope would cross zero")

@@ -15,20 +15,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    DuplicateKey,
-    EmptyCrossSection,
-    MalformedRow,
-    MissingDeflator,
-    NonPositive,
-)
+from .errors import (DuplicateKey, EmptyCrossSection, MalformedRow,
+                     MissingDeflator, NonPositive)
 
 PANEL_HEADER = ["country_code", "year", "gdp_nominal_usd", "debt_nominal_usd",
                 "population", "income_group"]
@@ -36,6 +32,7 @@ DEFLATOR_HEADER = ["year", "deflator"]
 
 BASE_YEAR = 2000
 YEARS = range(-2 ** 63, 2 ** 63)  # years are stored as int64 columns
+MAX_YEAR_SPAN = 10_000  # most years a flag range or a synthetic panel spans
 
 # Per-capita amounts are expressed in thousands of base-year USD per person.
 _THOUSAND = 1e3
@@ -64,31 +61,19 @@ def as_variable(value: "Variable | str") -> Variable:
     return Variable(value)
 
 
-@dataclass(frozen=True)
-class CountryYearRecord:
-    """One country-year observation of nominal GDP, nominal debt, and population."""
-
-    country_code: str
-    year: int
-    gdp_nominal: float
-    debt_nominal: float
-    population: float
-    income_group: IncomeGroup
-
-    def __post_init__(self):
-        if len(self.country_code) != 3 or not self.country_code.isalpha():
-            raise MalformedRow(
-                f"country_code {self.country_code!r} is not a 3-letter code")
-        # chained comparisons are false for NaN, so they reject it too
-        if not 0 < self.population < math.inf:
-            raise NonPositive(f"{self.country_code} {self.year}: "
-                              "population must be finite and > 0")
-        if not 0 < self.gdp_nominal < math.inf:
-            raise NonPositive(f"{self.country_code} {self.year}: "
-                              "gdp_nominal must be finite and > 0")
-        if not 0 <= self.debt_nominal < math.inf:
-            raise NonPositive(f"{self.country_code} {self.year}: "
-                              "debt_nominal must be finite and >= 0")
+def _check_record(code: str, year: int, gdp: float, debt: float,
+                  population: float, line: "int | None" = None) -> None:
+    """Raise if one panel row breaks a value rule; line is its CSV line."""
+    if len(code) != 3 or not code.isalpha():
+        raise MalformedRow(f"country_code {code!r} is not a 3-letter code",
+                           line=line)
+    # chained comparisons are false for NaN, so they reject it too
+    for name, ok, rule in (("population", 0 < population < math.inf, "> 0"),
+                           ("gdp_nominal", 0 < gdp < math.inf, "> 0"),
+                           ("debt_nominal", 0 <= debt < math.inf, ">= 0")):
+        if not ok:
+            raise NonPositive(f"{code} {year}: {name} must be finite and "
+                              f"{rule}", line=line)
 
 
 @dataclass(frozen=True)
@@ -116,15 +101,50 @@ class DeflatorSeries:
             raise MissingDeflator(f"no deflator entry for year {year}") from None
 
 
+# column dtypes other than float; numpy's str dtype drops trailing NULs
+_DTYPES = {"country_code": object, "year": np.int64, "income_group": object}
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """One numpy array per field, rows in input order."""
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]):
+        """The columns of rows, each a tuple of the fields in order."""
+        columns = list(zip(*rows)) or [()] * len(fields(cls))
+        return cls(*(np.array(column, dtype=_DTYPES.get(field.name, float))
+                     for field, column in zip(fields(cls), columns)))
+
+    def columns(self) -> list[np.ndarray]:
+        """The arrays in field order."""
+        return [getattr(self, field.name) for field in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.year)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns(_Columns):
+    """The panel CSV's fields in order: nominal amounts in USD as read."""
+
+    country_code: np.ndarray
+    year: np.ndarray
+    gdp_nominal: np.ndarray
+    debt_nominal: np.ndarray
+    population: np.ndarray
+    income_group: np.ndarray
+
+
 @dataclass(frozen=True)
 class Panel:
     """Records plus a deflator series; ingest_csv validates, Panel() does not."""
 
-    records: tuple[CountryYearRecord, ...]
+    records: RecordColumns
     deflator: DeflatorSeries
 
     def years(self) -> list[int]:
-        return sorted({rec.year for rec in self.records})
+        return sorted(set(self.records.year.tolist()))
 
 
 @dataclass(frozen=True)
@@ -140,15 +160,9 @@ class PerCapitaObservation:
     income_group: IncomeGroup
 
 
-# PerCapitaObservation's fields in order, with the dtype of each column
-_COLUMN_TYPES = {"country_code": object, "year": np.int64, "d": float,
-                 "g": float, "ratio_R": float, "income_group": object}
-
-
 @dataclass(frozen=True, eq=False)
-class PanelColumns:
-    """One array per PerCapitaObservation field, rows in input order; codes
-    and groups are object arrays, as numpy's str dtype drops trailing NULs."""
+class PanelColumns(_Columns):
+    """One array per PerCapitaObservation field."""
 
     country_code: np.ndarray
     year: np.ndarray
@@ -162,16 +176,12 @@ class PanelColumns:
         """obs itself, or the columns of an iterable of observations."""
         if isinstance(obs, cls):
             return obs
-        obs = list(obs)
-        return cls(*(np.array([getattr(o, name) for o in obs], dtype=dtype)
-                     for name, dtype in _COLUMN_TYPES.items()))
-
-    def __len__(self) -> int:
-        return len(self.year)
+        names = (field.name for field in fields(cls))
+        return cls.from_rows(map(attrgetter(*names), obs))
 
     def __iter__(self):
         return map(PerCapitaObservation,
-                   *(getattr(self, name).tolist() for name in _COLUMN_TYPES))
+                   *(column.tolist() for column in self.columns()))
 
 
 def read_table(path: "str | Path", header: list[str], types: tuple):
@@ -222,7 +232,7 @@ def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
     exception message names the offending 1-based line number.
     """
     deflator = _parse_deflator_csv(Path(deflator_path))
-    records: list[CountryYearRecord] = []
+    records: list[tuple] = []
     seen: set[tuple[str, int]] = set()
     rows = read_table(path, PANEL_HEADER, (str, int, float, float, float, str))
     for line_no, (code, year, gdp, debt, population, group) in rows:
@@ -240,12 +250,9 @@ def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
         if year not in deflator.values:
             raise MissingDeflator(f"no deflator entry for year {year}",
                                   line=line_no)
-        try:
-            rec = CountryYearRecord(code, year, gdp, debt, population, group)
-        except (NonPositive, MalformedRow) as exc:
-            raise type(exc)(str(exc), line=line_no) from None
-        records.append(rec)
-    return Panel(records=tuple(records), deflator=deflator)
+        _check_record(code, year, gdp, debt, population, line=line_no)
+        records.append((code, year, gdp, debt, population, group))
+    return Panel(records=RecordColumns.from_rows(records), deflator=deflator)
 
 
 def normalize(panel: Panel) -> PanelColumns:
@@ -254,26 +261,19 @@ def normalize(panel: Panel) -> PanelColumns:
     d and g come out in thousands of base-year USD per person; ratio_R is
     taken from the nominal amounts (the deflator and population cancel).
     """
-    records = panel.records
-    gdp, debt, population, deflator = np.array(
-        [(rec.gdp_nominal, rec.debt_nominal, rec.population,
-          panel.deflator.value(rec.year)) for rec in records],
-        dtype=float).reshape(-1, 4).T
+    rec = panel.records
+    deflator = np.array([panel.deflator.value(year)
+                         for year in rec.year.tolist()], dtype=float)
     with np.errstate(over="ignore"):  # inf, as Python float division gives
         return PanelColumns(
-            np.array([rec.country_code for rec in records], dtype=object),
-            np.array([rec.year for rec in records], dtype=np.int64),
-            debt / deflator / population / _THOUSAND,
-            gdp / deflator / population / _THOUSAND, debt / gdp,
-            np.array([rec.income_group for rec in records], dtype=object))
+            rec.country_code, rec.year,
+            rec.debt_nominal / deflator / rec.population / _THOUSAND,
+            rec.gdp_nominal / deflator / rec.population / _THOUSAND,
+            rec.debt_nominal / rec.gdp_nominal, rec.income_group)
 
 
 _ATTRIBUTES = {Variable.DEBT_PER_CAPITA: "d", Variable.GDP_PER_CAPITA: "g",
                Variable.RATIO_R: "ratio_R"}
-
-
-def value_of(obs: PerCapitaObservation, variable: "Variable | str") -> float:
-    return getattr(obs, _ATTRIBUTES[as_variable(variable)])
 
 
 def cross_section(obs: Iterable[PerCapitaObservation], year: int,
@@ -335,23 +335,24 @@ def filter_income_group(obs: Iterable[PerCapitaObservation],
     """Subset of observations in the given income group, order kept."""
     obs = PanelColumns.of(obs)
     mask = obs.income_group == group
-    return PanelColumns(*(getattr(obs, name)[mask] for name in _COLUMN_TYPES))
+    return PanelColumns(*(column[mask] for column in obs.columns()))
 
 
 def records_from_observations(obs: Iterable[PerCapitaObservation],
-                              population: float = 1e6) -> list[CountryYearRecord]:
+                              population: float = 1e6) -> RecordColumns:
     """Invert normalize() under a unit deflator and a fixed population.
 
     Useful for serializing synthetic observations into the panel CSV schema
-    so they round-trip through ingest_csv.
+    so they round-trip through ingest_csv; every row must pass its rules.
     """
     obs = PanelColumns.of(obs)
-    rows = zip(obs.country_code.tolist(), obs.year.tolist(),
-               (obs.g * _THOUSAND * population).tolist(),
-               (obs.d * _THOUSAND * population).tolist(),
-               obs.income_group.tolist())
-    return [CountryYearRecord(code, year, gdp, debt, population, group)
-            for code, year, gdp, debt, group in rows]
+    gdp = obs.g * _THOUSAND * population
+    debt = obs.d * _THOUSAND * population
+    for row in zip(obs.country_code.tolist(), obs.year.tolist(), gdp.tolist(),
+                   debt.tolist()):
+        _check_record(*row, population)
+    return RecordColumns(obs.country_code, obs.year, gdp, debt,
+                         np.full(len(obs), population), obs.income_group)
 
 
 def write_table(path: "str | Path", header: Iterable[str], rows: Iterable,
@@ -370,13 +371,12 @@ def write_table(path: "str | Path", header: Iterable[str], rows: Iterable,
         writer.writerows(rows)
 
 
-def write_panel_csv(path: "str | Path", records: Iterable[CountryYearRecord],
+def write_panel_csv(path: "str | Path", records: RecordColumns,
                     header_comment: "str | None" = None) -> None:
     """Write records in the panel CSV schema (optionally with a # comment line)."""
-    write_table(path, PANEL_HEADER, (
-        (rec.country_code, rec.year, rec.gdp_nominal, rec.debt_nominal,
-         rec.population, rec.income_group.value) for rec in records),
-        header_comment)
+    *columns, groups = (column.tolist() for column in records.columns())
+    write_table(path, PANEL_HEADER,
+                zip(*columns, [group.value for group in groups]), header_comment)
 
 
 def write_deflator_csv(path: "str | Path", series: DeflatorSeries,

@@ -287,10 +287,28 @@ def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "o"), "--n-countries",
                      "3", "--years", "0:9999,10000:19999,20000:29999"]) == 1
     assert "10000 years" in capsys.readouterr().err
+    # two years, but synth evolves the panel through every year between
+    assert cli.main(["synth", "--out", str(tmp_path / "o"), "--n-countries",
+                     "3", "--years", "0,10000"]) == 1
+    assert "10000 years" in capsys.readouterr().err
     for population in ("nan", "inf", "0"):
         assert cli.main(["synth", "--out", str(tmp_path / "o"), "--years",
                          "2000:2001", "--population", population]) == 1
         assert "--population" in capsys.readouterr().err
+    for argv, expected in (
+            (["--alpha", "nan"], "--alpha must be finite"),
+            (["--beta", "nan"], "--beta must be finite"),
+            (["--scaling-gamma", "nan"], "--scaling-gamma must be finite"),
+            (["--sigma", "nan"], "--sigma must be finite and >= 0"),
+            (["--sigma", "-1"], "--sigma must be finite and >= 0"),
+            (["--a-prefactor", "nan"], "--a-prefactor must be finite and > 0"),
+            (["--a-prefactor", "0"], "--a-prefactor must be finite and > 0"),
+            (["--log-d0-range", "0", "inf"], "--log-d0-range must be"),
+            (["--log-d0-range", "nan", "1"], "--log-d0-range must be"),
+            (["--log-d0-range", "2", "2"], "--log-d0-range must be")):
+        assert cli.main(["synth", "--out", str(tmp_path / "o"), "--years",
+                         "2000:2001", *argv]) == 1
+        assert expected in capsys.readouterr().err
     # analysis flags are checked before the panel is read or a file written
     panel_path, deflator_path = small_panel
     io = ["--panel", panel_path, "--deflator", deflator_path,
@@ -352,6 +370,17 @@ def test_data_error_exits_two(tmp_path, capsys):
                        "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_synth_overflowing_rows_exit_two(tmp_path, capsys):
+    # finite flags whose generated amounts overflow fail the row rules
+    out = tmp_path / "o"
+    for argv in (["--a-prefactor", "1e308"], ["--log-d0-range", "700", "701"]):
+        assert cli.main(["synth", "--out", str(out), "--n-countries", "3",
+                         "--years", "2000:2001", *argv]) == 2
+        assert "AAA 2000: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["converge", "dist", "scaling", "threshold"])

@@ -325,3 +325,8 @@ def test_synthetic_panel_guards():
         dynamics.synthetic_convergent_panel(
             n_countries=5, years=[2000], alpha=0.0, beta=0.0, sigma=0.1,
             seed=0, log_d0_range=(2.0, 2.0))
+    # the panel is evolved through every year from the first to the last
+    with pytest.raises(ValueError, match="10000"):
+        dynamics.synthetic_convergent_panel(
+            n_countries=3, years=[0, 10_000], alpha=0.0, beta=0.0, sigma=0.1,
+            seed=0)

@@ -3,8 +3,10 @@
 import math
 import string
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,8 +49,8 @@ def test_ingest_accepts_valid_panel(paths):
     pl = panel.ingest_csv(p, d)
     assert len(pl.records) == 4
     assert pl.years() == [2000, 2001]
-    assert pl.records[0].country_code == "USA"
-    assert pl.records[0].income_group is panel.IncomeGroup.HIGH
+    assert pl.records.country_code[0] == "USA"
+    assert pl.records.income_group[0] is panel.IncomeGroup.HIGH
 
 
 def test_ingest_skips_comments_and_blank_lines(paths, tmp_path):
@@ -161,11 +163,11 @@ def test_missing_deflator_year_rejected(tmp_path):
     with pytest.raises(errors.MissingDeflator, match="1984"):
         _ingest_variant(tmp_path, "BRA,1984,1e9,1e8,1000.0,LOW")
     # a hand-built Panel is not validated; normalize still needs the deflator
-    record = panel.CountryYearRecord("BRA", 1984, 1e9, 1e8, 1000.0,
-                                     panel.IncomeGroup.LOW)
+    records = panel.RecordColumns.from_rows(
+        [("BRA", 1984, 1e9, 1e8, 1000.0, panel.IncomeGroup.LOW)])
     deflator = panel.DeflatorSeries(values={panel.BASE_YEAR: 1.0})
     with pytest.raises(errors.MissingDeflator, match="1984"):
-        panel.normalize(panel.Panel(records=(record,), deflator=deflator))
+        panel.normalize(panel.Panel(records=records, deflator=deflator))
 
 
 def test_wrong_panel_header_rejected(tmp_path):
@@ -214,7 +216,7 @@ def test_nonpositive_deflator_rejected(tmp_path):
 
 def test_income_group_parsed_case_insensitively(tmp_path):
     pl = _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0,low")
-    assert pl.records[1].income_group is panel.IncomeGroup.LOW
+    assert pl.records.income_group[1] is panel.IncomeGroup.LOW
 
 
 def test_cross_section_sorted_by_country(paths):
@@ -227,13 +229,9 @@ def test_cross_section_sorted_by_country(paths):
         panel.cross_section(obs, 1850, "R")
 
 
-def test_value_of_and_as_variable(paths):
-    p, d = paths
-    obs = panel.normalize(panel.ingest_csv(p, d))
-    o = next(iter(obs))
-    assert panel.value_of(o, "d") == o.d
-    assert panel.value_of(o, "g") == o.g
-    assert panel.value_of(o, panel.Variable.RATIO_R) == o.ratio_R
+def test_as_variable():
+    assert panel.as_variable("d") is panel.Variable.DEBT_PER_CAPITA
+    assert panel.as_variable(panel.Variable.RATIO_R) is panel.Variable.RATIO_R
     with pytest.raises(ValueError):
         panel.as_variable("x")
 
@@ -260,7 +258,8 @@ def test_filter_commutes_with_normalize(paths):
 
     filtered_first = panel.normalize(
         panel.Panel(
-            records=[r for r in pl.records if r.income_group == group],
+            records=panel.RecordColumns.from_rows(
+                row for row in _rows(pl.records) if row[5] == group),
             deflator=pl.deflator,
         )
     )
@@ -295,48 +294,51 @@ def test_write_and_reingest_roundtrip(paths, tmp_path):
 
 _POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 
+# rows of (country_code, year, gdp, debt, population, income_group)
 _RECORDS = st.lists(
-    st.builds(panel.CountryYearRecord,
-              country_code=st.text(string.ascii_uppercase, min_size=3,
-                                   max_size=3),
-              year=st.integers(1800, 2100),
-              gdp_nominal=_POSITIVE,
-              debt_nominal=st.floats(min_value=0.0, max_value=1e300),
-              population=_POSITIVE,
-              income_group=st.sampled_from(panel.IncomeGroup)),
-    max_size=30, unique_by=lambda rec: (rec.country_code, rec.year))
+    st.tuples(st.text(string.ascii_uppercase, min_size=3, max_size=3),
+              st.integers(1800, 2100), _POSITIVE,
+              st.floats(min_value=0.0, max_value=1e300), _POSITIVE,
+              st.sampled_from(panel.IncomeGroup)),
+    max_size=30, unique_by=lambda row: row[:2])
+
+
+def _rows(columns):
+    """The rows of a RecordColumns as tuples of Python values."""
+    return list(zip(*(column.tolist() for column in columns.columns())))
 
 
 @settings(derandomize=True, database=None)
 @given(records=_RECORDS, data=st.data())
 def test_written_panel_reads_back_equal(records, data):
-    years = sorted({rec.year for rec in records} | {panel.BASE_YEAR})
+    years = sorted({row[1] for row in records} | {panel.BASE_YEAR})
     values = {year: data.draw(_POSITIVE) for year in years}
     values[panel.BASE_YEAR] = 1.0
     deflator = panel.DeflatorSeries(values=values)
     stamp = "debtkit 0.1.0 config=000000000000 log=natural"
     with tempfile.TemporaryDirectory() as tmp:
         p, d = Path(tmp) / "panel.csv", Path(tmp) / "deflator.csv"
-        panel.write_panel_csv(p, records, header_comment=stamp)
+        panel.write_panel_csv(p, panel.RecordColumns.from_rows(records),
+                              header_comment=stamp)
         panel.write_deflator_csv(d, deflator, header_comment=stamp)
         again = panel.ingest_csv(p, d)
-    assert again.records == tuple(records)
+    assert _rows(again.records) == records
     assert again.deflator.values == deflator.values
 
 
 # ------------------------------------------- columns against row references
 
-def _normalize_rows(pl):
+def _normalize_rows(records, series):
     """The earlier normalize, one observation per record: the reference."""
     out = []
-    for rec in pl.records:
-        deflator = pl.deflator.value(rec.year)
+    for code, year, gdp, debt, population, group in records:
+        deflator = series.value(year)
         out.append(panel.PerCapitaObservation(
-            country_code=rec.country_code, year=rec.year,
-            d=rec.debt_nominal / deflator / rec.population / 1e3,
-            g=rec.gdp_nominal / deflator / rec.population / 1e3,
-            ratio_R=rec.debt_nominal / rec.gdp_nominal,
-            income_group=rec.income_group))
+            country_code=code, year=year,
+            d=debt / deflator / population / 1e3,
+            g=gdp / deflator / population / 1e3,
+            ratio_R=debt / gdp,
+            income_group=group))
     return out
 
 
@@ -350,21 +352,112 @@ _ANY_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @settings(derandomize=True, database=None)
-@given(records=st.lists(st.builds(
-           panel.CountryYearRecord,
-           country_code=st.sampled_from(["USA", "BRA", "JPN"]),
-           year=st.sampled_from([1999, 2000, 2001]),
-           gdp_nominal=_ANY_POSITIVE,
-           debt_nominal=st.one_of(st.sampled_from([0.0, -0.0]),
-                                  _ANY_POSITIVE),
-           population=_ANY_POSITIVE,
-           income_group=st.sampled_from(panel.IncomeGroup)), max_size=20),
+@given(records=st.lists(st.tuples(
+           st.sampled_from(["USA", "BRA", "JPN"]),
+           st.sampled_from([1999, 2000, 2001]),
+           _ANY_POSITIVE,
+           st.one_of(st.sampled_from([0.0, -0.0]), _ANY_POSITIVE),
+           _ANY_POSITIVE,
+           st.sampled_from(panel.IncomeGroup)), max_size=20),
        deflators=st.tuples(_ANY_POSITIVE, _ANY_POSITIVE))
 def test_normalize_columns_bitwise_equal_row_loop(records, deflators):
     deflator = panel.DeflatorSeries(
         values={1999: deflators[0], 2000: 1.0, 2001: deflators[1]})
-    pl = panel.Panel(records=tuple(records), deflator=deflator)
-    assert _bits(panel.normalize(pl)) == _bits(_normalize_rows(pl))
+    pl = panel.Panel(records=panel.RecordColumns.from_rows(records),
+                     deflator=deflator)
+    assert _bits(panel.normalize(pl)) == _bits(
+        _normalize_rows(records, deflator))
+
+
+@dataclass(frozen=True)
+class _CountryYearRecord:
+    """The earlier row type, whose value rules ran on construction."""
+
+    country_code: str
+    year: int
+    gdp_nominal: float
+    debt_nominal: float
+    population: float
+    income_group: panel.IncomeGroup
+
+    def __post_init__(self):
+        if len(self.country_code) != 3 or not self.country_code.isalpha():
+            raise errors.MalformedRow(
+                f"country_code {self.country_code!r} is not a 3-letter code")
+        if not 0 < self.population < math.inf:
+            raise errors.NonPositive(f"{self.country_code} {self.year}: "
+                                     "population must be finite and > 0")
+        if not 0 < self.gdp_nominal < math.inf:
+            raise errors.NonPositive(f"{self.country_code} {self.year}: "
+                                     "gdp_nominal must be finite and > 0")
+        if not 0 <= self.debt_nominal < math.inf:
+            raise errors.NonPositive(f"{self.country_code} {self.year}: "
+                                     "debt_nominal must be finite and >= 0")
+
+
+def _write_records_rows(path, obs, population, header_comment):
+    """The earlier records_from_observations and write_panel_csv, one record
+    per row: the reference."""
+    rows = zip(obs.country_code.tolist(), obs.year.tolist(),
+               (obs.g * 1e3 * population).tolist(),
+               (obs.d * 1e3 * population).tolist(),
+               obs.income_group.tolist())
+    records = [_CountryYearRecord(code, year, gdp, debt, population, group)
+               for code, year, gdp, debt, group in rows]
+    panel.write_table(path, panel.PANEL_HEADER, (
+        (rec.country_code, rec.year, rec.gdp_nominal, rec.debt_nominal,
+         rec.population, rec.income_group.value) for rec in records),
+        header_comment)
+
+
+def _write_records_columns(path, obs, population, header_comment):
+    panel.write_panel_csv(path, panel.records_from_observations(obs, population),
+                          header_comment=header_comment)
+
+
+def _outcome(write, path, obs, population):
+    """The bytes write puts at path, or the class and message it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            write(path, obs, population, "unit test")
+    except errors.DebtkitError as exc:
+        return type(exc), str(exc), path.exists()
+    return path.read_bytes()
+
+
+# 0.0, -0.0, subnormal and near-max magnitudes, NaN and infinities
+_ANY_FLOAT = st.one_of(st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2e-308, 1.7976931348623157e308, math.nan,
+     math.inf, -math.inf]), st.floats())
+
+
+def _observations(codes, amounts):
+    return st.builds(
+        panel.PerCapitaObservation, country_code=st.sampled_from(codes),
+        year=st.one_of(st.just(2000), st.integers(-2 ** 63, 2 ** 63 - 1)),
+        d=amounts, g=amounts, ratio_R=st.just(0.5),
+        income_group=st.sampled_from(panel.IncomeGroup))
+
+
+# rows that pass the rules whenever the population does, and any rows
+_ROWS_TO_WRITE = st.lists(st.one_of(
+    _observations(["USA", "BRA"], st.one_of(
+        st.sampled_from([5e-324, 1e-300, 1.0, 1e290]),
+        st.floats(min_value=1e-300, max_value=1e290))),
+    _observations(["USA", "BRA", "A1B", "AB"], _ANY_FLOAT)), max_size=8)
+
+
+@settings(derandomize=True, database=None)
+@given(rows=_ROWS_TO_WRITE,
+       population=st.one_of(st.sampled_from([1e6, 2, 0, -1, 10 ** 30]),
+                            st.integers(), _ANY_FLOAT))
+def test_records_from_observations_writes_as_row_records(rows, population,
+                                                         tmp_path_factory):
+    obs = panel.PanelColumns.of(rows)
+    tmp = tmp_path_factory.mktemp("records")
+    assert _outcome(_write_records_columns, tmp / "columns.csv", obs,
+                    population) == _outcome(_write_records_rows,
+                                            tmp / "rows.csv", obs, population)
 
 
 _FINITE_OR_INF = st.floats(allow_nan=False)
