@@ -21,7 +21,7 @@ obs = dynamics.synthetic_convergent_panel(
     seed=42,
 )
 print(f"panel: {len(obs)} observations, "
-      f"{len({o.country_code for o in obs})} countries, 1970-2005")
+      f"{len(set(obs.country_code))} countries, 1970-2005")
 
 # --- 2. single regression, one horizon ------------------------------------
 fit = regress.convergence_regression(obs, "d", t=1970, dt=10)

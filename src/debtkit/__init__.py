@@ -35,7 +35,6 @@ from .panel import (
     IncomeGroup,
     Panel,
     PanelColumns,
-    PerCapitaObservation,
     RecordColumns,
     Variable,
     cross_section,
@@ -68,7 +67,6 @@ __all__ = [
     "OlsFit",
     "Panel",
     "PanelColumns",
-    "PerCapitaObservation",
     "RecordColumns",
     "ScalingFit",
     "SimPath",

@@ -43,7 +43,7 @@ _FLAG_RULES = {  # checked before a subcommand reads or writes any file
     "--threshold": ("finite", math.isfinite),
     "--population": ("finite and > 0", lambda x: 0 < x < math.inf),
     "--alpha": ("finite", math.isfinite),
-    "--beta": ("finite", math.isfinite),
+    "--beta": ("finite and < 1", lambda x: -math.inf < x < 1),
     "--scaling-gamma": ("finite", math.isfinite),
     "--sigma": ("finite and >= 0", lambda x: 0 <= x < math.inf),
     "--a-prefactor": ("finite and > 0", lambda x: 0 < x < math.inf),
@@ -129,6 +129,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
     # slope_surface needs both endpoints; cap initial years below the last one
     last = int(obs.year.max())
     t_list = [t for t in _years(args, obs) if t < last]
+    if not t_list:
+        raise ValueError(f"--years has no initial year before the panel's "
+                         f"last year {last}")
     # every surface is fitted before --out is made, so a failure writes nothing
     surfaces = [regress.slope_surface(obs, variable, t_list, args.dt_max,
                                       args.r2_min) for variable in panel.Variable]

@@ -224,18 +224,21 @@ def synthetic_convergent_panel(
             groups.append(IncomeGroup.HIGH)
     wanted = set(year_list)
     d_parts = []
-    for year in range(year_list[0], year_list[-1] + 1):
-        if year in wanted:
-            d_parts.append(np.exp(log_d))
-        if year < year_list[-1]:
-            log_d = alpha + (1.0 - beta) * log_d + rng.normal(0.0, sigma,
-                                                              n_countries)
-    d = np.concatenate(d_parts)
-    g = a_prefactor * d ** scaling_gamma
+    # values that overflow stay inf or NaN, which the panel row rules reject
+    with np.errstate(all="ignore"):
+        for year in range(year_list[0], year_list[-1] + 1):
+            if year in wanted:
+                d_parts.append(np.exp(log_d))
+            if year < year_list[-1]:
+                log_d = alpha + (1.0 - beta) * log_d + rng.normal(
+                    0.0, sigma, n_countries)
+        d = np.concatenate(d_parts)
+        g = a_prefactor * d ** scaling_gamma
+        ratio_R = d / g
     return PanelColumns(
         country_code=np.array(codes * len(year_list), dtype=object),
         year=np.repeat(np.array(year_list, dtype=np.int64), n_countries),
-        d=d, g=g, ratio_R=d / g,
+        d=d, g=g, ratio_R=ratio_R,
         income_group=np.array(groups * len(year_list), dtype=object))
 
 

@@ -17,7 +17,6 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -147,22 +146,10 @@ class Panel:
         return sorted(set(self.records.year.tolist()))
 
 
-@dataclass(frozen=True)
-class PerCapitaObservation:
-    """Real per-capita debt d, per-capita GDP g (thousand year-2000 USD per
-    person) and the dimensionless debt-to-GDP ratio R for one country-year."""
-
-    country_code: str
-    year: int
-    d: float
-    g: float
-    ratio_R: float
-    income_group: IncomeGroup
-
-
 @dataclass(frozen=True, eq=False)
 class PanelColumns(_Columns):
-    """One array per PerCapitaObservation field."""
+    """Observations: real per-capita debt d and GDP g (thousand year-2000
+    USD per person) and the dimensionless debt-to-GDP ratio R."""
 
     country_code: np.ndarray
     year: np.ndarray
@@ -170,18 +157,6 @@ class PanelColumns(_Columns):
     g: np.ndarray
     ratio_R: np.ndarray
     income_group: np.ndarray
-
-    @classmethod
-    def of(cls, obs: Iterable[PerCapitaObservation]) -> "PanelColumns":
-        """obs itself, or the columns of an iterable of observations."""
-        if isinstance(obs, cls):
-            return obs
-        names = (field.name for field in fields(cls))
-        return cls.from_rows(map(attrgetter(*names), obs))
-
-    def __iter__(self):
-        return map(PerCapitaObservation,
-                   *(column.tolist() for column in self.columns()))
 
 
 def read_table(path: "str | Path", header: list[str], types: tuple):
@@ -276,16 +251,6 @@ _ATTRIBUTES = {Variable.DEBT_PER_CAPITA: "d", Variable.GDP_PER_CAPITA: "g",
                Variable.RATIO_R: "ratio_R"}
 
 
-def cross_section(obs: Iterable[PerCapitaObservation], year: int,
-                  field: "Variable | str") -> dict[str, float]:
-    """Map country_code -> field value for one year, sorted by country code."""
-    name = _ATTRIBUTES[as_variable(field)]
-    section = {o.country_code: getattr(o, name) for o in obs if o.year == year}
-    if not section:
-        raise EmptyCrossSection(f"no country has data for year {year}")
-    return dict(sorted(section.items()))
-
-
 @dataclass(frozen=True, eq=False)
 class YearMatrix:
     """One field as a dense country x year matrix.
@@ -308,13 +273,11 @@ class YearMatrix:
         return self.values[:, j], self.present[:, j]
 
 
-def year_matrix(obs: Iterable[PerCapitaObservation],
-                field: "Variable | str") -> YearMatrix:
+def year_matrix(obs: PanelColumns, field: "Variable | str") -> YearMatrix:
     """Build field's YearMatrix from the columns of obs.
 
-    A duplicate country-year keeps its last value, as in cross_section.
+    A duplicate country-year keeps its last value.
     """
-    obs = PanelColumns.of(obs)
     codes, row = np.unique(obs.country_code, return_inverse=True)
     years, col = np.unique(obs.year, return_inverse=True)
     # numpy leaves unspecified which repeated cell wins: assign last rows only
@@ -330,24 +293,33 @@ def year_matrix(obs: Iterable[PerCapitaObservation],
     return YearMatrix(tuple(codes.tolist()), columns, values, present)
 
 
-def filter_income_group(obs: Iterable[PerCapitaObservation],
+def cross_section(obs: PanelColumns, year: int,
+                  field: "Variable | str") -> dict[str, float]:
+    """Map country_code -> field value for one year, sorted by country code:
+    the cells of year_matrix(obs, field).column(year) that rows filled."""
+    matrix = year_matrix(obs, field)
+    values, present = matrix.column(year)
+    return {code: value for code, value, here
+            in zip(matrix.codes, values.tolist(), present.tolist()) if here}
+
+
+def filter_income_group(obs: PanelColumns,
                         group: IncomeGroup) -> PanelColumns:
     """Subset of observations in the given income group, order kept."""
-    obs = PanelColumns.of(obs)
     mask = obs.income_group == group
     return PanelColumns(*(column[mask] for column in obs.columns()))
 
 
-def records_from_observations(obs: Iterable[PerCapitaObservation],
+def records_from_observations(obs: PanelColumns,
                               population: float = 1e6) -> RecordColumns:
     """Invert normalize() under a unit deflator and a fixed population.
 
     Useful for serializing synthetic observations into the panel CSV schema
     so they round-trip through ingest_csv; every row must pass its rules.
     """
-    obs = PanelColumns.of(obs)
-    gdp = obs.g * _THOUSAND * population
-    debt = obs.d * _THOUSAND * population
+    with np.errstate(over="ignore"):  # inf, which the row rules reject
+        gdp = obs.g * _THOUSAND * population
+        debt = obs.d * _THOUSAND * population
     for row in zip(obs.country_code.tolist(), obs.year.tolist(), gdp.tolist(),
                    debt.tolist()):
         _check_record(*row, population)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
 )
 # cross_section is not called here, but perfbench/tracer.py wraps
 # regress.cross_section by name
-from .panel import (PerCapitaObservation, Variable, YearMatrix, as_variable,
+from .panel import (PanelColumns, Variable, YearMatrix, as_variable,
                     cross_section, write_table, year_matrix)
 
 SURFACE_CSV_HEADER = ["variable", "t", "dt", "S", "beta", "alpha",
@@ -145,9 +145,8 @@ def _fit_cell(matrix: YearMatrix, variable: Variable, t: int,
                           n_excluded=n_excluded)
 
 
-def convergence_regression(obs: Iterable[PerCapitaObservation],
-                           variable: "Variable | str", t: int,
-                           dt: int) -> ConvergenceFit:
+def convergence_regression(obs: PanelColumns, variable: "Variable | str",
+                           t: int, dt: int) -> ConvergenceFit:
     """Regress log v(t+dt) on log v(t) across countries.
 
     Countries lacking either endpoint, or with a non-positive value at
@@ -157,7 +156,7 @@ def convergence_regression(obs: Iterable[PerCapitaObservation],
     return _fit_cell(year_matrix(obs, variable), variable, t, dt)
 
 
-def slope_surface(obs: Iterable[PerCapitaObservation], variable: "Variable | str",
+def slope_surface(obs: PanelColumns, variable: "Variable | str",
                   t_list: Sequence[int], dt_max: int,
                   r2_min: float = 0.0) -> SlopeSurface:
     """One ConvergenceFit per (t in t_list, 1 <= dt <= dt_max) with enough data.

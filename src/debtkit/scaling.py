@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 from .errors import EmptyCrossSection, TooFewCountries
 # cross_section and ols are not called here, but perfbench/tracer.py wraps
 # scaling.cross_section and scaling.ols by name
-from .panel import (PanelColumns, PerCapitaObservation, Variable, YearMatrix,
-                    cross_section, write_table, year_matrix)
+from .panel import (PanelColumns, Variable, YearMatrix, cross_section,
+                    write_table, year_matrix)
 from .regress import _log_log_fit, ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
@@ -41,20 +41,17 @@ def _fit_year(d: YearMatrix, g: YearMatrix, year: int) -> ScalingFit:
                       n_excluded=n_excluded)
 
 
-def _d_and_g(obs: Iterable[PerCapitaObservation]) -> tuple[YearMatrix, YearMatrix]:
-    obs = PanelColumns.of(obs)
+def _d_and_g(obs: PanelColumns) -> tuple[YearMatrix, YearMatrix]:
     return (year_matrix(obs, Variable.DEBT_PER_CAPITA),
             year_matrix(obs, Variable.GDP_PER_CAPITA))
 
 
-def fit_gdp_debt_scaling(obs: Iterable[PerCapitaObservation],
-                         year: int) -> ScalingFit:
+def fit_gdp_debt_scaling(obs: PanelColumns, year: int) -> ScalingFit:
     """OLS of log g on log d over countries with positive d and g in a year."""
     return _fit_year(*_d_and_g(obs), year)
 
 
-def gamma_trend(obs: Iterable[PerCapitaObservation],
-                years: Sequence[int]) -> list[ScalingFit]:
+def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
     """fit_gdp_debt_scaling per year; years without enough data are skipped.
 
     Skipped years are recoverable as set(years) minus the fitted years.

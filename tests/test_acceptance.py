@@ -24,7 +24,7 @@ import scipy.integrate
 import scipy.special
 
 from debtkit import cli, distributions, dynamics, regress, scaling
-from debtkit.panel import IncomeGroup, PerCapitaObservation
+from debtkit.panel import IncomeGroup, PanelColumns
 
 
 @pytest.fixture
@@ -142,11 +142,10 @@ def test_4_zipf_pdf_duality(criterion):
 def test_5_scaling_law_fit(criterion):
     with criterion("scaling fit exact on power-law panels; r_g = gamma*r_d"):
         for gamma, log_a in ((0.85, 0.3), (1.0, 0.0), (0.6, -0.5)):
-            obs = [PerCapitaObservation(
-                       country_code=chr(65 + i) * 3, year=1995, d=d,
-                       g=math.exp(log_a) * d ** gamma, ratio_R=1.0,
-                       income_group=IncomeGroup.MEDIUM)
-                   for i, d in enumerate((0.2, 0.9, 3.0, 12.0, 40.0))]
+            obs = PanelColumns.from_rows(
+                (chr(65 + i) * 3, 1995, d, math.exp(log_a) * d ** gamma, 1.0,
+                 IncomeGroup.MEDIUM)
+                for i, d in enumerate((0.2, 0.9, 3.0, 12.0, 40.0)))
             fit = scaling.fit_gdp_debt_scaling(obs, 1995)
             assert abs(fit.gamma - gamma) <= 1e-10
             assert abs(fit.log_A - log_a) <= 1e-10

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -298,6 +299,7 @@ def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
     for argv, expected in (
             (["--alpha", "nan"], "--alpha must be finite"),
             (["--beta", "nan"], "--beta must be finite"),
+            (["--beta", "1"], "--beta must be finite and < 1"),
             (["--scaling-gamma", "nan"], "--scaling-gamma must be finite"),
             (["--sigma", "nan"], "--sigma must be finite and >= 0"),
             (["--sigma", "-1"], "--sigma must be finite and >= 0"),
@@ -309,7 +311,8 @@ def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
         assert cli.main(["synth", "--out", str(tmp_path / "o"), "--years",
                          "2000:2001", *argv]) == 1
         assert expected in capsys.readouterr().err
-    # analysis flags are checked before the panel is read or a file written
+    # analysis flags are checked before any file is written, and all but
+    # converge --years before the panel is read
     panel_path, deflator_path = small_panel
     io = ["--panel", panel_path, "--deflator", deflator_path,
           "--out", str(tmp_path / "o")]
@@ -317,6 +320,8 @@ def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
             (["converge", "--r2-min", "nan"], "--r2-min must be finite"),
             (["converge", "--r2-min=-inf"], "--r2-min must be finite"),
             (["converge", "--dt-max", "10001"], "--dt-max must be in [1, 10000]"),
+            (["converge", "--years", "2001"], "--years has no initial year "
+             "before the panel's last year 2001"),
             (["dist", "--bins", "1000001"], "--bins must be in [1, 1000000]"),
             (["dist", "--rank-window", "0", "5"], "--rank-window"),
             (["dist", "--rank-window", "3", "2"], "--rank-window"),
@@ -372,7 +377,6 @@ def test_data_error_exits_two(tmp_path, capsys):
         assert "line 2" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_synth_overflowing_rows_exit_two(tmp_path, capsys):
     # finite flags whose generated amounts overflow fail the row rules
     out = tmp_path / "o"
@@ -381,6 +385,20 @@ def test_synth_overflowing_rows_exit_two(tmp_path, capsys):
                          "--years", "2000:2001", *argv]) == 2
         assert "AAA 2000: " in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_synth_overflow_raises_no_numpy_warning(tmp_path):
+    # inf and NaN from overflowing model values are left to the row rules
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, (argv, code) in enumerate((
+                (["--a-prefactor", "1e308"], 2),
+                (["--alpha", "800"], 2),
+                (["--log-d0-range", "700", "701"], 2),
+                (["--a-prefactor", "1e-320"], 0))):
+            assert cli.main(["synth", "--out", str(tmp_path / f"o{i}"),
+                             "--n-countries", "3", "--years", "2000:2001",
+                             *argv]) == code
 
 
 @pytest.mark.parametrize("command", ["converge", "dist", "scaling", "threshold"])

@@ -208,41 +208,46 @@ def test_simpath_csv(tmp_path):
 
 # -------------------------------------------------------- synthetic panels
 
+def _rows(obs):
+    """The rows of a PanelColumns as tuples of Python values."""
+    return list(zip(*(column.tolist() for column in obs.columns())))
+
+
 def test_synthetic_panel_deterministic():
     kw = dict(n_countries=10, years=[1990, 1991, 1992], alpha=0.05,
               beta=0.03, sigma=0.1, seed=7)
     a = dynamics.synthetic_convergent_panel(**kw)
     b = dynamics.synthetic_convergent_panel(**kw)
-    assert list(a) == list(b)
+    assert _rows(a) == _rows(b)
     c = dynamics.synthetic_convergent_panel(**{**kw, "seed": 8})
-    assert list(a) != list(c)
+    assert _rows(a) != _rows(c)
 
 
 def test_synthetic_panel_shape_and_groups():
-    obs = list(dynamics.synthetic_convergent_panel(
+    obs = dynamics.synthetic_convergent_panel(
         n_countries=9, years=[1990, 1991], alpha=0.0, beta=0.01, sigma=0.1,
-        seed=1))
+        seed=1)
     assert len(obs) == 18
-    assert [o.year for o in obs[:9]] == [1990] * 9
-    codes = [o.country_code for o in obs[:9]]
+    assert obs.year[:9].tolist() == [1990] * 9
+    codes = obs.country_code[:9].tolist()
     assert codes == sorted(codes) and codes[0] == "AAA"
     by_group = {g: 0 for g in panel.IncomeGroup}
-    for o in obs[:9]:
-        by_group[o.income_group] += 1
+    for group in obs.income_group[:9]:
+        by_group[group] += 1
     assert all(count == 3 for count in by_group.values())
     # income labels are static across years
-    first_year = {o.country_code: o.income_group for o in obs[:9]}
-    for o in obs[9:]:
-        assert o.income_group == first_year[o.country_code]
+    first_year = dict(zip(codes, obs.income_group[:9]))
+    for code, group in zip(obs.country_code[9:], obs.income_group[9:]):
+        assert group == first_year[code]
 
 
 def test_synthetic_panel_scaling_relation():
     obs = dynamics.synthetic_convergent_panel(
         n_countries=5, years=[2000], alpha=0.0, beta=0.0, sigma=0.0, seed=3,
         a_prefactor=2.0, scaling_gamma=0.9)
-    for o in obs:
-        assert o.g == pytest.approx(2.0 * o.d ** 0.9, rel=1e-12)
-        assert o.ratio_R == pytest.approx(o.d / o.g, rel=1e-12)
+    for d, g, ratio_R in zip(obs.d, obs.g, obs.ratio_R):
+        assert g == pytest.approx(2.0 * d ** 0.9, rel=1e-12)
+        assert ratio_R == pytest.approx(d / g, rel=1e-12)
 
 
 def test_noiseless_panel_round_trips_beta_exactly():
@@ -275,10 +280,9 @@ def test_gap_years_evolve_internally():
         years=[2000, 2005], **kw)
     dense = dynamics.synthetic_convergent_panel(
         years=list(range(2000, 2006)), **kw)
-    dense_by_key = {(o.country_code, o.year): o for o in dense}
-    for o in sparse:
-        assert o.d == pytest.approx(dense_by_key[(o.country_code, o.year)].d,
-                                    rel=1e-12)
+    dense_by_key = dict(zip(zip(dense.country_code, dense.year), dense.d))
+    for key, d in zip(zip(sparse.country_code, sparse.year), sparse.d):
+        assert d == pytest.approx(dense_by_key[key], rel=1e-12)
 
 
 def test_synthetic_panel_monte_carlo_beta_recovery():

@@ -64,19 +64,21 @@ def test_ingest_skips_comments_and_blank_lines(paths, tmp_path):
 def test_normalize_arithmetic(paths):
     p, d = paths
     obs = panel.normalize(panel.ingest_csv(p, d))
-    by_key = {(o.country_code, o.year): o for o in obs}
+    row_of = {key: i for i, key in enumerate(zip(obs.country_code.tolist(),
+                                                  obs.year.tolist()))}
 
     # base year: deflator 1.0, so d = debt/pop/1e3 exactly
-    usa = by_key[("USA", 2000)]
-    assert usa.d == pytest.approx(5e9 / 1e6 / 1e3, rel=1e-12)  # 5.0
-    assert usa.g == pytest.approx(10.0, rel=1e-12)
-    assert usa.ratio_R == pytest.approx(0.5, rel=1e-12)
+    usa = row_of[("USA", 2000)]
+    assert obs.d[usa] == pytest.approx(5e9 / 1e6 / 1e3, rel=1e-12)  # 5.0
+    assert obs.g[usa] == pytest.approx(10.0, rel=1e-12)
+    assert obs.ratio_R[usa] == pytest.approx(0.5, rel=1e-12)
 
     # 2001: deflator 1.25 shrinks real amounts; R uses nominals so no deflator
-    usa1 = by_key[("USA", 2001)]
-    assert usa1.d == pytest.approx(3e9 / 1.25 / 1.2e6 / 1e3, rel=1e-12)  # 2.0
-    assert usa1.g == pytest.approx(8.0, rel=1e-12)
-    assert usa1.ratio_R == pytest.approx(0.25, rel=1e-12)
+    usa1 = row_of[("USA", 2001)]
+    assert obs.d[usa1] == pytest.approx(3e9 / 1.25 / 1.2e6 / 1e3,
+                                        rel=1e-12)  # 2.0
+    assert obs.g[usa1] == pytest.approx(8.0, rel=1e-12)
+    assert obs.ratio_R[usa1] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_ratio_independent_of_deflator(paths, tmp_path):
@@ -86,16 +88,16 @@ def test_ratio_independent_of_deflator(paths, tmp_path):
                                 "2001,3.0", ""]))
     obs_a = panel.normalize(panel.ingest_csv(p, d))
     obs_b = panel.normalize(panel.ingest_csv(p, other))
-    for a, b in zip(obs_a, obs_b):
-        assert a.ratio_R == b.ratio_R
+    for a, b in zip(obs_a.ratio_R, obs_b.ratio_R):
+        assert a == b
 
 
 def test_zero_debt_is_allowed(paths):
     p, d = paths
     obs = panel.normalize(panel.ingest_csv(p, d))
-    bra = [o for o in obs if o.country_code == "BRA" and o.year == 2001][0]
-    assert bra.d == 0.0
-    assert bra.ratio_R == 0.0
+    bra = np.flatnonzero((obs.country_code == "BRA") & (obs.year == 2001))[0]
+    assert obs.d[bra] == 0.0
+    assert obs.ratio_R[bra] == 0.0
 
 
 def _ingest_variant(tmp_path, row, deflator_text=DEFLATOR_TEXT):
@@ -236,19 +238,27 @@ def test_as_variable():
         panel.as_variable("x")
 
 
+def test_package_exports_resolve():
+    import debtkit
+    namespace = {}
+    exec("from debtkit import *", namespace)
+    assert set(debtkit.__all__) <= namespace.keys()
+
+
 def test_filter_income_group(paths):
     p, d = paths
     obs = panel.normalize(panel.ingest_csv(p, d))
     high = panel.filter_income_group(obs, panel.IncomeGroup.HIGH)
-    assert {o.country_code for o in high} == {"USA"}
+    assert set(high.country_code) == {"USA"}
     assert len(panel.filter_income_group(obs, panel.IncomeGroup.LOW)) == 0
 
 
 def test_ratio_times_gdp_recovers_debt(paths):
     # deflator and population cancel in R, so R * g == d in normalized units
     p, d = paths
-    for o in panel.normalize(panel.ingest_csv(p, d)):
-        assert math.isclose(o.ratio_R * o.g, o.d, rel_tol=1e-12)
+    obs = panel.normalize(panel.ingest_csv(p, d))
+    for ratio_R, g, debt in zip(obs.ratio_R, obs.g, obs.d):
+        assert math.isclose(ratio_R * g, debt, rel_tol=1e-12)
 
 
 def test_filter_commutes_with_normalize(paths):
@@ -264,7 +274,7 @@ def test_filter_commutes_with_normalize(paths):
         )
     )
     normalized_first = panel.filter_income_group(panel.normalize(pl), group)
-    assert list(filtered_first) == list(normalized_first)
+    assert _rows(filtered_first) == _rows(normalized_first)
     assert filtered_first  # guard against trivially passing on empty output
 
 
@@ -282,14 +292,14 @@ def test_write_and_reingest_roundtrip(paths, tmp_path):
 
     again = panel.normalize(panel.ingest_csv(out_p, out_d))
     assert len(again) == len(obs)
-    for before, after in zip(obs, again):
-        assert after.country_code == before.country_code
-        assert after.year == before.year
+    for before, after in zip(_rows(obs), _rows(again)):
+        code, year, d, g, ratio_R, group = before
+        assert after[:2] == (code, year)
         # unit deflator and shared population reproduce d, g, R exactly
-        assert math.isclose(after.d, before.d, rel_tol=1e-12)
-        assert math.isclose(after.g, before.g, rel_tol=1e-12)
-        assert math.isclose(after.ratio_R, before.ratio_R, rel_tol=1e-12)
-        assert after.income_group == before.income_group
+        assert math.isclose(after[2], d, rel_tol=1e-12)
+        assert math.isclose(after[3], g, rel_tol=1e-12)
+        assert math.isclose(after[4], ratio_R, rel_tol=1e-12)
+        assert after[5] == group
 
 
 _POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
@@ -304,7 +314,8 @@ _RECORDS = st.lists(
 
 
 def _rows(columns):
-    """The rows of a RecordColumns as tuples of Python values."""
+    """The rows of a RecordColumns or PanelColumns as tuples of Python
+    values."""
     return list(zip(*(column.tolist() for column in columns.columns())))
 
 
@@ -329,22 +340,23 @@ def test_written_panel_reads_back_equal(records, data):
 # ------------------------------------------- columns against row references
 
 def _normalize_rows(records, series):
-    """The earlier normalize, one observation per record: the reference."""
+    """The earlier normalize, one observation row per record: the
+    reference."""
     out = []
     for code, year, gdp, debt, population, group in records:
         deflator = series.value(year)
-        out.append(panel.PerCapitaObservation(
-            country_code=code, year=year,
-            d=debt / deflator / population / 1e3,
-            g=gdp / deflator / population / 1e3,
-            ratio_R=debt / gdp,
-            income_group=group))
+        out.append((code, year,
+                    debt / deflator / population / 1e3,
+                    gdp / deflator / population / 1e3,
+                    debt / gdp,
+                    group))
     return out
 
 
-def _bits(observations):
-    return [(o.country_code, o.year, o.d.hex(), o.g.hex(), o.ratio_R.hex(),
-             o.income_group) for o in observations]
+def _bits(rows):
+    """Observation rows with each float as its hex: -0.0 differs from 0.0."""
+    return [(code, year, d.hex(), g.hex(), ratio_R.hex(), group)
+            for code, year, d, g, ratio_R, group in rows]
 
 
 # every finite positive float, subnormals and the largest included
@@ -365,7 +377,7 @@ def test_normalize_columns_bitwise_equal_row_loop(records, deflators):
         values={1999: deflators[0], 2000: 1.0, 2001: deflators[1]})
     pl = panel.Panel(records=panel.RecordColumns.from_rows(records),
                      deflator=deflator)
-    assert _bits(panel.normalize(pl)) == _bits(
+    assert _bits(_rows(panel.normalize(pl))) == _bits(
         _normalize_rows(records, deflator))
 
 
@@ -432,11 +444,11 @@ _ANY_FLOAT = st.one_of(st.sampled_from(
 
 
 def _observations(codes, amounts):
-    return st.builds(
-        panel.PerCapitaObservation, country_code=st.sampled_from(codes),
-        year=st.one_of(st.just(2000), st.integers(-2 ** 63, 2 ** 63 - 1)),
-        d=amounts, g=amounts, ratio_R=st.just(0.5),
-        income_group=st.sampled_from(panel.IncomeGroup))
+    """Observation rows: country_code, year, d, g, ratio_R, income_group."""
+    return st.tuples(
+        st.sampled_from(codes),
+        st.one_of(st.just(2000), st.integers(-2 ** 63, 2 ** 63 - 1)),
+        amounts, amounts, st.just(0.5), st.sampled_from(panel.IncomeGroup))
 
 
 # rows that pass the rules whenever the population does, and any rows
@@ -453,7 +465,7 @@ _ROWS_TO_WRITE = st.lists(st.one_of(
                             st.integers(), _ANY_FLOAT))
 def test_records_from_observations_writes_as_row_records(rows, population,
                                                          tmp_path_factory):
-    obs = panel.PanelColumns.of(rows)
+    obs = panel.PanelColumns.from_rows(rows)
     tmp = tmp_path_factory.mktemp("records")
     assert _outcome(_write_records_columns, tmp / "columns.csv", obs,
                     population) == _outcome(_write_records_rows,
@@ -462,34 +474,32 @@ def test_records_from_observations_writes_as_row_records(rows, population,
 
 _FINITE_OR_INF = st.floats(allow_nan=False)
 
-# duplicate keys are likely, and codes may end in NUL
-_OBSERVATIONS = st.lists(st.builds(
-    panel.PerCapitaObservation,
-    country_code=st.one_of(st.sampled_from(["AAA", "AAA\x00", "\x00", ""]),
-                           st.text(max_size=5)),
-    year=st.one_of(st.sampled_from([1999, 2000]),
-                   st.integers(-2 ** 63, 2 ** 63 - 1)),
-    d=_FINITE_OR_INF, g=_FINITE_OR_INF, ratio_R=_FINITE_OR_INF,
-    income_group=st.sampled_from(panel.IncomeGroup)), max_size=20)
+# observation rows; duplicate keys are likely, and codes may end in NUL
+_OBSERVATIONS = st.lists(st.tuples(
+    st.one_of(st.sampled_from(["AAA", "AAA\x00", "\x00", ""]),
+              st.text(max_size=5)),
+    st.one_of(st.sampled_from([1999, 2000]),
+              st.integers(-2 ** 63, 2 ** 63 - 1)),
+    _FINITE_OR_INF, _FINITE_OR_INF, _FINITE_OR_INF,
+    st.sampled_from(panel.IncomeGroup)), max_size=20)
 
 
 @settings(derandomize=True, database=None)
 @given(rows=_OBSERVATIONS)
 def test_panel_columns_round_trip_rows(rows):
-    columns = panel.PanelColumns.of(rows)
-    assert panel.PanelColumns.of(columns) is columns
+    columns = panel.PanelColumns.from_rows(rows)
     assert len(columns) == len(rows)
-    assert list(columns) == rows
-    assert _bits(columns) == _bits(rows)  # -0.0 stays -0.0
+    assert _rows(columns) == rows
+    assert _bits(_rows(columns)) == _bits(rows)  # -0.0 stays -0.0
 
 
 @settings(derandomize=True, database=None)
 @given(rows=_OBSERVATIONS)
 def test_filter_income_group_equals_row_filter(rows):
-    columns = panel.PanelColumns.of(rows)
+    columns = panel.PanelColumns.from_rows(rows)
     for group in panel.IncomeGroup:
-        assert list(panel.filter_income_group(columns, group)) == [
-            o for o in rows if o.income_group == group]
+        assert _rows(panel.filter_income_group(columns, group)) == [
+            row for row in rows if row[5] == group]
 
 
 # ---------------------------------------------- first error wins in ingest

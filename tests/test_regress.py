@@ -117,13 +117,13 @@ def test_growth_rate():
 
 
 def _obs(code, year, value):
-    return panel.PerCapitaObservation(
-        country_code=code, year=year, d=value, g=1.0, ratio_R=value,
-        income_group=panel.IncomeGroup.MEDIUM)
+    """One observation row: the PanelColumns fields in order."""
+    return (code, year, value, 1.0, value, panel.IncomeGroup.MEDIUM)
 
 
 def _noiseless_panel(alpha, s, years, start_values):
-    """log v(t+1) = alpha + s * log v(t), one country per start value."""
+    """Rows with log v(t+1) = alpha + s * log v(t), one country per start
+    value."""
     obs = []
     for i, v0 in enumerate(start_values):
         log_v = math.log(v0)
@@ -137,7 +137,8 @@ def _noiseless_panel(alpha, s, years, start_values):
 def test_convergence_regression_noiseless_identity():
     # forward map uses S=0.8, alpha=0.5 per year; dt=1 recovers them exactly
     obs = _noiseless_panel(0.5, 0.8, [2000, 2001], [0.5, 1.0, 4.0, 9.0])
-    fit = regress.convergence_regression(obs, "d", 2000, 1)
+    fit = regress.convergence_regression(panel.PanelColumns.from_rows(obs),
+                                         "d", 2000, 1)
     assert fit.S == pytest.approx(0.8, abs=1e-12)
     assert fit.beta == pytest.approx(0.2, abs=1e-12)
     assert fit.alpha == pytest.approx(0.5, abs=1e-12)
@@ -150,14 +151,16 @@ def test_convergence_regression_noiseless_identity():
 def test_convergence_regression_multi_year_compounding():
     # S=0.9 per year compounds to S=0.81 over dt=2; beta=(1-S)/dt
     obs = _noiseless_panel(0.0, 0.9, [2000, 2001, 2002], [0.5, 2.0, 8.0])
-    fit = regress.convergence_regression(obs, "d", 2000, 2)
+    fit = regress.convergence_regression(panel.PanelColumns.from_rows(obs),
+                                         "d", 2000, 2)
     assert fit.S == pytest.approx(0.81, abs=1e-12)
     assert fit.beta == pytest.approx((1.0 - 0.81) / 2.0, abs=1e-12)
 
 
 def test_divergent_panel_reports_negative_beta():
     obs = _noiseless_panel(0.0, 1.1, [2000, 2001], [0.5, 2.0, 8.0])
-    fit = regress.convergence_regression(obs, "d", 2000, 1)
+    fit = regress.convergence_regression(panel.PanelColumns.from_rows(obs),
+                                         "d", 2000, 1)
     assert fit.S == pytest.approx(1.1, abs=1e-12)
     assert fit.beta == pytest.approx(-0.1, abs=1e-12)
     assert not fit.converges
@@ -169,7 +172,8 @@ def test_countries_missing_an_endpoint_are_excluded():
     obs.append(_obs("FFF", 2001, 3.0))          # no 2000 endpoint
     obs.append(_obs("GGG", 2000, 0.0))          # nonpositive at start
     obs.append(_obs("GGG", 2001, 1.0))
-    fit = regress.convergence_regression(obs, "d", 2000, 1)
+    fit = regress.convergence_regression(panel.PanelColumns.from_rows(obs),
+                                         "d", 2000, 1)
     assert fit.n_countries == 4
     assert fit.n_excluded == 3
 
@@ -177,12 +181,13 @@ def test_countries_missing_an_endpoint_are_excluded():
 def test_too_few_countries_raises():
     obs = _noiseless_panel(0.0, 0.9, [2000, 2001], [0.5, 1.0])
     with pytest.raises(errors.TooFewCountries):
-        regress.convergence_regression(obs, "d", 2000, 1)
+        regress.convergence_regression(panel.PanelColumns.from_rows(obs),
+                                       "d", 2000, 1)
 
 
 def test_slope_surface_grid_order_and_counts():
-    obs = _noiseless_panel(0.1, 0.95, [2000, 2001, 2002, 2003],
-                           [0.5, 1.0, 2.0, 4.0, 8.0])
+    obs = panel.PanelColumns.from_rows(_noiseless_panel(
+        0.1, 0.95, [2000, 2001, 2002, 2003], [0.5, 1.0, 2.0, 4.0, 8.0]))
     surface = regress.slope_surface(obs, "d", [2000, 2001], dt_max=3)
     # t=2000 supports dt in {1,2,3}; t=2001 only {1,2}: one skipped cell
     assert [(e.t, e.dt) for e in surface.entries] == [
@@ -202,6 +207,7 @@ def test_slope_surface_r2_filter_drops_noisy_cells():
         for year in (2000, 2001):
             # pure noise: no relation between endpoints
             obs.append(_obs(code, year, float(rng.uniform(0.5, 2.0))))
+    obs = panel.PanelColumns.from_rows(obs)
     loose = regress.slope_surface(obs, "d", [2000], 1, r2_min=0.0)
     strict = regress.slope_surface(obs, "d", [2000], 1, r2_min=0.9)
     assert len(loose.entries) == 1
@@ -210,7 +216,8 @@ def test_slope_surface_r2_filter_drops_noisy_cells():
 
 
 def test_surface_csv_format(tmp_path):
-    obs = _noiseless_panel(0.1, 0.9, [2000, 2001], [0.5, 1.0, 2.0])
+    obs = panel.PanelColumns.from_rows(
+        _noiseless_panel(0.1, 0.9, [2000, 2001], [0.5, 1.0, 2.0]))
     surface = regress.slope_surface(obs, "d", [2000], 1)
     out = tmp_path / "surface.csv"
     regress.write_surface_csv(surface, out, header_comment="meta")

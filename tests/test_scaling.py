@@ -9,18 +9,19 @@ from debtkit import errors, panel, regress, scaling
 
 
 def _obs(code, year, d, g):
-    return panel.PerCapitaObservation(
-        country_code=code, year=year, d=d, g=g, ratio_R=d / g if g else 0.0,
-        income_group=panel.IncomeGroup.MEDIUM)
+    """One observation row: the PanelColumns fields in order."""
+    return (code, year, d, g, d / g if g else 0.0, panel.IncomeGroup.MEDIUM)
 
 
 def _power_law_panel(year, gamma, log_a, d_values):
+    """Rows with g = exp(log_a) * d ** gamma, one country per d value."""
     return [_obs(chr(65 + i) * 3, year, d, math.exp(log_a) * d ** gamma)
             for i, d in enumerate(d_values)]
 
 
 def test_exact_power_law_recovered():
-    obs = _power_law_panel(1990, 0.85, 0.7, [0.2, 0.9, 3.0, 12.0, 40.0])
+    obs = panel.PanelColumns.from_rows(
+        _power_law_panel(1990, 0.85, 0.7, [0.2, 0.9, 3.0, 12.0, 40.0]))
     fit = scaling.fit_gdp_debt_scaling(obs, 1990)
     assert fit.gamma == pytest.approx(0.85, abs=1e-10)
     assert fit.log_A == pytest.approx(0.7, abs=1e-10)
@@ -35,8 +36,9 @@ def test_regression_direction_is_g_on_d():
     rng = np.random.default_rng(6)
     d = rng.uniform(0.5, 20.0, 60)
     g = 2.0 * d ** 0.8 * np.exp(rng.normal(0, 0.2, 60))
-    obs = [_obs(f"{chr(65 + i // 26)}{chr(65 + i % 26)}Z", 2000, dv, gv)
-           for i, (dv, gv) in enumerate(zip(d, g))]
+    obs = panel.PanelColumns.from_rows(
+        _obs(f"{chr(65 + i // 26)}{chr(65 + i % 26)}Z", 2000, dv, gv)
+        for i, (dv, gv) in enumerate(zip(d, g)))
     fit = scaling.fit_gdp_debt_scaling(obs, 2000)
     direct = regress.ols(np.log(d), np.log(g))
     inverted = regress.ols(np.log(g), np.log(d))
@@ -47,14 +49,15 @@ def test_regression_direction_is_g_on_d():
 def test_zero_debt_countries_excluded():
     obs = _power_law_panel(1990, 0.9, 0.0, [0.5, 1.0, 2.0, 4.0])
     obs.append(_obs("ZZZ", 1990, 0.0, 1.0))
-    fit = scaling.fit_gdp_debt_scaling(obs, 1990)
+    fit = scaling.fit_gdp_debt_scaling(panel.PanelColumns.from_rows(obs), 1990)
     assert fit.n_countries == 4
     assert fit.n_excluded == 1
     assert fit.gamma == pytest.approx(0.9, abs=1e-10)
 
 
 def test_too_few_countries():
-    obs = _power_law_panel(1990, 0.9, 0.0, [1.0, 2.0])
+    obs = panel.PanelColumns.from_rows(
+        _power_law_panel(1990, 0.9, 0.0, [1.0, 2.0]))
     with pytest.raises(errors.TooFewCountries):
         scaling.fit_gdp_debt_scaling(obs, 1990)
     with pytest.raises(errors.EmptyCrossSection):
@@ -73,9 +76,10 @@ def test_growth_rate_identity_under_power_law():
 
 
 def test_gamma_trend_skips_thin_years():
-    obs = (_power_law_panel(1990, 0.8, 0.0, [0.5, 1.0, 2.0, 4.0])
-           + _power_law_panel(1991, 0.9, 0.1, [0.5, 1.0, 2.0, 4.0])
-           + _power_law_panel(1992, 1.0, 0.2, [1.0, 2.0]))
+    obs = panel.PanelColumns.from_rows(
+        _power_law_panel(1990, 0.8, 0.0, [0.5, 1.0, 2.0, 4.0])
+        + _power_law_panel(1991, 0.9, 0.1, [0.5, 1.0, 2.0, 4.0])
+        + _power_law_panel(1992, 1.0, 0.2, [1.0, 2.0]))
     fits = scaling.gamma_trend(obs, [1990, 1991, 1992, 1993])
     assert [f.year for f in fits] == [1990, 1991]
     assert fits[0].gamma == pytest.approx(0.8, abs=1e-10)
@@ -85,7 +89,8 @@ def test_gamma_trend_skips_thin_years():
 
 
 def test_trend_csv(tmp_path):
-    obs = _power_law_panel(1990, 0.8, 0.0, [0.5, 1.0, 2.0, 4.0])
+    obs = panel.PanelColumns.from_rows(
+        _power_law_panel(1990, 0.8, 0.0, [0.5, 1.0, 2.0, 4.0]))
     fits = scaling.gamma_trend(obs, [1990])
     out = tmp_path / "trend.csv"
     scaling.write_trend_csv(fits, out, header_comment="meta")

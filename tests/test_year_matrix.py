@@ -4,10 +4,15 @@ slope_surface, convergence_regression, gamma_trend and fit_gdp_debt_scaling
 fit every cell from panel.year_matrix. The reference below is the earlier
 implementation, which rescanned the observations through cross_section for
 each cell; on any panel both must give equal results, or raise the same
-error with the same message.
+error with the same message. panel.cross_section reads one year of
+year_matrix too, and the earlier row scan below is its reference.
 """
 
+from __future__ import annotations
+
 import math
+from collections import namedtuple
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -15,10 +20,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debtkit import errors, panel, regress, scaling
-from debtkit.panel import Variable, cross_section
+from debtkit.errors import EmptyCrossSection
+from debtkit.panel import _ATTRIBUTES, Variable, as_variable
+
+# the earlier observation row, which the reference scans; as a tuple of the
+# fields in order it is also a row for PanelColumns.from_rows
+PerCapitaObservation = namedtuple(
+    "PerCapitaObservation", "country_code year d g ratio_R income_group")
 
 
 # ----------------------------------------------- cross_section reference
+
+def cross_section(obs: Iterable[PerCapitaObservation], year: int,
+                  field: "Variable | str") -> dict[str, float]:
+    """Map country_code -> field value for one year, sorted by country code."""
+    name = _ATTRIBUTES[as_variable(field)]
+    section = {o.country_code: getattr(o, name) for o in obs if o.year == year}
+    if not section:
+        raise EmptyCrossSection(f"no country has data for year {year}")
+    return dict(sorted(section.items()))
+
 
 def _ref_convergence_regression(obs, variable, t, dt):
     variable = panel.as_variable(variable)
@@ -98,13 +119,20 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _section_bits(fn, obs, year, variable):
+    """fn's cross-section as (code, value.hex()) pairs in order, so that NaN
+    equals NaN and -0.0 differs from 0.0."""
+    return [(code, value.hex())
+            for code, value in fn(obs, year, variable).items()]
+
+
 # ------------------------------------------------------ random panels
 
 FIRST_YEAR = 2000
 
 # repeated values make constant-x cells; 0, negative and non-finite values
 # are present but never usable
-_SPECIAL = [0.0, 1.0, 2.0, -1.0, math.nan, -math.inf]
+_SPECIAL = [0.0, -0.0, 1.0, 2.0, -1.0, math.nan, -math.inf]
 
 
 @st.composite
@@ -122,7 +150,7 @@ def _ragged_panels(draw):
         for year in range(FIRST_YEAR + entry, FIRST_YEAR + n_years):
             # 0 leaves the year missing, 2 makes a duplicate country-year
             for _ in range(draw(st.sampled_from([1, 1, 1, 1, 1, 0, 2]))):
-                obs.append(panel.PerCapitaObservation(
+                obs.append(PerCapitaObservation(
                     country_code=chr(65 + i) * 3, year=year, d=value(),
                     g=value(), ratio_R=value(),
                     income_group=panel.IncomeGroup.LOW))
@@ -133,6 +161,7 @@ def _ragged_panels(draw):
 @given(drawn=_ragged_panels(), data=st.data())
 def test_matrix_fits_equal_cross_section_reference(drawn, data):
     obs, n_years = drawn
+    columns = panel.PanelColumns.from_rows(obs)
     # initial years reach past both ends of the panel, so some cells are empty
     years = st.sampled_from(range(FIRST_YEAR - 1, FIRST_YEAR + n_years + 1))
     t_list = data.draw(st.lists(years, min_size=1, max_size=8))
@@ -141,22 +170,29 @@ def test_matrix_fits_equal_cross_section_reference(drawn, data):
     dt = data.draw(st.integers(1, dt_max))
     r2_min = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
     for variable in Variable:
-        assert (_outcome(regress.slope_surface, obs, variable, t_list, dt_max,
-                         r2_min)
+        assert (_outcome(regress.slope_surface, columns, variable, t_list,
+                         dt_max, r2_min)
                 == _outcome(_ref_slope_surface, obs, variable, t_list, dt_max,
                             r2_min))
-        assert (_outcome(regress.convergence_regression, obs, variable, t, dt)
+        assert (_outcome(regress.convergence_regression, columns, variable, t,
+                         dt)
                 == _outcome(_ref_convergence_regression, obs, variable, t, dt))
-    assert (_outcome(scaling.gamma_trend, obs, t_list)
+        # t_list reaches years without rows, where both must raise
+        for year in [t, *t_list]:
+            assert (_outcome(_section_bits, panel.cross_section, columns,
+                             year, variable)
+                    == _outcome(_section_bits, cross_section, obs, year,
+                                variable))
+    assert (_outcome(scaling.gamma_trend, columns, t_list)
             == _outcome(_ref_gamma_trend, obs, t_list))
-    assert (_outcome(scaling.fit_gdp_debt_scaling, obs, t)
+    assert (_outcome(scaling.fit_gdp_debt_scaling, columns, t)
             == _outcome(_ref_fit_gdp_debt_scaling, obs, t))
 
 
 # ---------------------------------------------------------- examples
 
 def _obs(code, year, value):
-    return panel.PerCapitaObservation(
+    return PerCapitaObservation(
         country_code=code, year=year, d=value, g=value, ratio_R=value,
         income_group=panel.IncomeGroup.HIGH)
 
@@ -164,7 +200,7 @@ def _obs(code, year, value):
 def test_year_matrix_layout_and_presence():
     obs = [_obs("CCC", 2001, 3.0), _obs("AAA", 2003, 0.0),
            _obs("BBB", 2001, math.nan), _obs("CCC", 2001, 4.0)]
-    m = panel.year_matrix(obs, "d")
+    m = panel.year_matrix(panel.PanelColumns.from_rows(obs), "d")
     assert m.codes == ("AAA", "BBB", "CCC")
     assert m.columns == {2001: 0, 2003: 1}
     values, present = m.column(2001)
@@ -184,6 +220,7 @@ def test_constant_x_cell_raises_degenerate_x():
     obs += [_obs(code, 2001, v) for code, v in zip(("AAA", "BBB", "CCC"),
                                                    (1.0, 2.0, 3.0))]
     with pytest.raises(errors.DegenerateX):
-        regress.slope_surface(obs, "d", [2000], 1)
+        regress.slope_surface(panel.PanelColumns.from_rows(obs), "d",
+                              [2000], 1)
     with pytest.raises(errors.DegenerateX):
         _ref_slope_surface(obs, "d", [2000], 1)
