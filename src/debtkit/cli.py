@@ -47,8 +47,8 @@ _FLAG_RULES = {  # checked before a subcommand reads or writes any file
     "--scaling-gamma": ("finite", math.isfinite),
     "--sigma": ("finite and >= 0", lambda x: 0 <= x < math.inf),
     "--a-prefactor": ("finite and > 0", lambda x: 0 < x < math.inf),
-    "--log-d0-range": ("LO HI, finite, with LO < HI",
-                       lambda r: -math.inf < r[0] < r[1] < math.inf),
+    "--log-d0-range": ("LO HI, finite, with LO < HI and HI - LO finite",
+                       lambda r: 0 < r[1] - r[0] < math.inf),  # inf/NaN ends fail
 }
 
 

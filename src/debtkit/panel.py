@@ -17,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -32,6 +33,7 @@ DEFLATOR_HEADER = ["year", "deflator"]
 BASE_YEAR = 2000
 YEARS = range(-2 ** 63, 2 ** 63)  # years are stored as int64 columns
 MAX_YEAR_SPAN = 10_000  # most years a flag range or a synthetic panel spans
+_BLOCK_ROWS = 512  # lines per csv.reader in _ingest_columns; 4096 measured slower
 
 # Per-capita amounts are expressed in thousands of base-year USD per person.
 _THOUSAND = 1e3
@@ -159,6 +161,13 @@ class PanelColumns(_Columns):
     income_group: np.ndarray
 
 
+def _split(line_no: int, line: str) -> list[str]:
+    try:  # csv.Error: a field over csv.field_size_limit(), for example
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise MalformedRow(str(exc), line=line_no) from None
+
+
 def read_table(path: "str | Path", header: list[str], types: tuple):
     """Yield (line_no, fields) per data row, skipping blank and # lines.
 
@@ -167,7 +176,7 @@ def read_table(path: "str | Path", header: list[str], types: tuple):
     MalformedRow naming its 1-based line.
     """
     with open(path, newline="", encoding="utf-8") as f:
-        rows = ((n, next(csv.reader([line]))) for n, line in enumerate(f, 1)
+        rows = ((n, _split(n, line)) for n, line in enumerate(f, 1)
                 if line.strip() and not line.strip().startswith("#"))
         first = next(rows, None)
         if first is None or [h.strip() for h in first[1]] != header:
@@ -200,13 +209,49 @@ def _parse_deflator_csv(path: Path) -> DeflatorSeries:
     return DeflatorSeries(values=values)
 
 
-def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
-    """Read and validate a panel CSV plus its deflator CSV into a Panel.
+def _ingest_columns(path: "str | Path",
+                    deflator: DeflatorSeries) -> "RecordColumns | None":
+    """The panel's records from one columnar pass, or None if a line is off:
+    _ingest_rows, which parses each line alone, then names the first."""
+    def distinct(convert, raw: tuple) -> map:  # convert each string once
+        return map({x: convert(x) for x in set(raw)}.__getitem__, raw)
 
-    Raises MalformedRow, DuplicateKey, MissingDeflator, or NonPositive; the
-    exception message names the offending 1-based line number.
-    """
-    deflator = _parse_deflator_csv(Path(deflator_path))
+    code, year, group, amounts = [], [], [], []
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            lines = (line for line in f
+                     if line.strip() and not line.strip().startswith("#"))
+            header = next(csv.reader(islice(lines, 1)), [])
+            if [h.strip() for h in header] != PANEL_HEADER:
+                return None
+            while block := list(islice(lines, _BLOCK_ROWS)):
+                rows = list(csv.reader(block))
+                if '"' in "".join(block) or set(map(len, rows)) != {len(header)}:
+                    return None  # a quote could run on into the next line
+                raw = list(zip(*rows))
+                code += distinct(lambda x: x.strip().upper(), raw[0])
+                year += distinct(int, raw[1])
+                group += distinct(lambda x: IncomeGroup(x.strip().upper()),
+                                  raw[5])
+                amounts.append([np.fromiter(map(float, x), float, len(rows))
+                                for x in raw[2:5]])
+    except (ValueError, csv.Error):
+        return None
+    if not (year and all(len(c) == 3 and c.isalpha() for c in set(code))
+            and len(set(zip(code, year))) == len(year)
+            and set(year) <= deflator.values.keys()):
+        return None
+    gdp, debt, population = map(np.concatenate, zip(*amounts))
+    if not ((0 < population) & (population < np.inf) & (0 < gdp)
+            & (gdp < np.inf) & (0 <= debt) & (debt < np.inf)).all():
+        return None  # NaN compares false, as in _check_record
+    return RecordColumns(np.array(code, dtype=object),
+                         np.array(year, dtype=np.int64), gdp, debt,
+                         population, np.array(group, dtype=object))
+
+
+def _ingest_rows(path: "str | Path", deflator: DeflatorSeries) -> RecordColumns:
+    """The panel's records, checked row by row: the first bad line raises."""
     records: list[tuple] = []
     seen: set[tuple[str, int]] = set()
     rows = read_table(path, PANEL_HEADER, (str, int, float, float, float, str))
@@ -227,7 +272,20 @@ def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
                                   line=line_no)
         _check_record(code, year, gdp, debt, population, line=line_no)
         records.append((code, year, gdp, debt, population, group))
-    return Panel(records=RecordColumns.from_rows(records), deflator=deflator)
+    return RecordColumns.from_rows(records)
+
+
+def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
+    """Read and validate a panel CSV plus its deflator CSV into a Panel.
+
+    Raises MalformedRow, DuplicateKey, MissingDeflator, or NonPositive; the
+    exception message names the offending 1-based line number.
+    """
+    deflator = _parse_deflator_csv(Path(deflator_path))
+    records = _ingest_columns(path, deflator)
+    if records is None:  # some line is off: the row loop names the first
+        records = _ingest_rows(path, deflator)
+    return Panel(records=records, deflator=deflator)
 
 
 def normalize(panel: Panel) -> PanelColumns:
@@ -278,7 +336,9 @@ def year_matrix(obs: PanelColumns, field: "Variable | str") -> YearMatrix:
 
     A duplicate country-year keeps its last value.
     """
-    codes, row = np.unique(obs.country_code, return_inverse=True)
+    codes = sorted(set(obs.country_code.tolist()))
+    row = np.fromiter(map({code: i for i, code in enumerate(codes)}.get,
+                          obs.country_code.tolist()), np.intp, len(obs))
     years, col = np.unique(obs.year, return_inverse=True)
     # numpy leaves unspecified which repeated cell wins: assign last rows only
     cell = col * len(codes) + row
@@ -290,7 +350,7 @@ def year_matrix(obs: PanelColumns, field: "Variable | str") -> YearMatrix:
     values[row, col] = getattr(obs, _ATTRIBUTES[as_variable(field)])[last]
     present[row, col] = True
     columns = {year: j for j, year in enumerate(years.tolist())}
-    return YearMatrix(tuple(codes.tolist()), columns, values, present)
+    return YearMatrix(tuple(codes), columns, values, present)
 
 
 def cross_section(obs: PanelColumns, year: int,

@@ -307,7 +307,9 @@ def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
             (["--a-prefactor", "0"], "--a-prefactor must be finite and > 0"),
             (["--log-d0-range", "0", "inf"], "--log-d0-range must be"),
             (["--log-d0-range", "nan", "1"], "--log-d0-range must be"),
-            (["--log-d0-range", "2", "2"], "--log-d0-range must be")):
+            (["--log-d0-range", "2", "2"], "--log-d0-range must be"),
+            # finite ends whose span HI - LO overflows to inf
+            (["--log-d0-range", " -1e308", "1e308"], "--log-d0-range must be")):
         assert cli.main(["synth", "--out", str(tmp_path / "o"), "--years",
                          "2000:2001", *argv]) == 1
         assert expected in capsys.readouterr().err
@@ -369,7 +371,9 @@ def test_data_error_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     d = tmp_path / "defl.csv"
     d.write_text("year,deflator\n2000,1.0\n")
-    for row in ("US,2000,1e9,1e8,1e6,HIGH", "USA,2000,nan,1e8,1e6,HIGH"):
+    # the last GDP is longer than the csv module's field limit
+    for row in ("US,2000,1e9,1e8,1e6,HIGH", "USA,2000,nan,1e8,1e6,HIGH",
+                f"USA,2000,{'1' * 200_000},1e8,1e6,HIGH"):
         p.write_text(PANEL_HEADER + f"\n{row}\n")
         rc = cli.main(["converge", "--panel", str(p), "--deflator", str(d),
                        "--out", str(tmp_path / "o")])

@@ -5,6 +5,7 @@ import string
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -555,3 +556,108 @@ def test_ingest_names_first_corrupted_line(data, tmp_path_factory):
         panel.ingest_csv(p, d)
     assert type(info.value) is _FAULTS[first_fault]
     assert info.value.line == first_bad + 2  # the header is line 1
+
+
+# --------------------------------------- columnar pass against the row loop
+
+def _column_bits(records):
+    """Each column's dtype and values: floats as hex, objects with their
+    type, so that -0.0, NaN payloads and np.str_ all count."""
+    return [(column.dtype, [(type(x), x.hex() if isinstance(x, float) else x)
+                            for x in column.tolist()])
+            for column in records.columns()]
+
+
+def _ingested(ingest):
+    """The bits of ingest()'s records, or the class, message and line of the
+    IngestionError it raises."""
+    try:
+        return _column_bits(ingest())
+    except errors.IngestionError as exc:
+        return type(exc), str(exc), exc.line
+
+
+# a valid panel whose every line is odd: comments, blanks, spaces, case, CRLF
+_ODD_VALID_PANEL = "\r\n".join([
+    "# stamp", "", " country_code , year,gdp_nominal_usd,debt_nominal_usd,"
+    "population,income_group ", " usa ,2_000,1_000,-0.0, 7 ,high", "\t",
+    "  # indented", "\tbra\t, 2001 ,1e9,1e8,1000.0, Medium ", ""])
+
+
+def test_valid_panel_never_reaches_row_loop(paths, monkeypatch, tmp_path):
+    p, d = paths
+    odd = tmp_path / "odd.csv"
+    odd.write_text(_ODD_VALID_PANEL, newline="")
+    deflator = panel._parse_deflator_csv(d)
+    expected = [_column_bits(panel._ingest_rows(path, deflator))
+                for path in (p, odd)]
+
+    def row_loop(*args):
+        raise AssertionError("a valid unquoted panel fell back to the row loop")
+
+    monkeypatch.setattr(panel, "_ingest_rows", row_loop)
+    assert [_column_bits(panel.ingest_csv(path, d).records)
+            for path in (p, odd)] == expected
+
+
+# rewrites of one field, and whole values, that both paths must read alike
+_ODD_FIELDS = [
+    lambda f: f'"{f}"', lambda f: f'"{f}', lambda f: f'{f[:1]}"{f[1:]}',
+    lambda f: f" {f} ", lambda f: f"\t{f}", str.lower, lambda f: f + "\x00",
+    "1_000", " 7 ", "nan", "inf", "-0.0", "2_000", " 2001 ", str(2 ** 64),
+    str(-2 ** 63 - 1), "1" * 200_000, ""]
+
+# lines that are not rows: blanks and comments
+_FILLERS = ["", "   ", "\t", "# note", "  # indented, note", '# "unclosed']
+
+_HEADERS = [",".join(panel.PANEL_HEADER),
+            " country_code , year,gdp_nominal_usd,debt_nominal_usd,"
+            "population,income_group ",
+            '"country_code",year,gdp_nominal_usd,debt_nominal_usd,'
+            'population,"income_group"']
+
+
+@settings(derandomize=True, database=None)
+@given(data=st.data())
+def test_columnar_pass_equals_row_loop(data, tmp_path_factory):
+    draw = data.draw
+    n_rows = draw(st.integers(1, 8))
+    amount = st.floats(min_value=1.0, max_value=1e12)
+    rows = [[string.ascii_uppercase[i] * 3, str(2000 + i % 2),
+             repr(draw(amount)), repr(draw(amount)), repr(draw(amount)),
+             draw(st.sampled_from(["LOW", "medium", "HIGH"]))]
+            for i in range(n_rows)]
+    for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=2)):
+        _corrupt(rows[i], draw(st.sampled_from(sorted(_FAULTS))), rows[0],
+                 draw)
+    for i, j, odd in draw(st.lists(st.tuples(
+            st.integers(0, n_rows - 1), st.integers(0, 5),
+            st.sampled_from(_ODD_FIELDS)), max_size=3)):
+        rows[i][j] = odd if isinstance(odd, str) else odd(rows[i][j])
+    lines = [draw(st.sampled_from(_HEADERS)), *map(",".join, rows)]
+    if draw(st.booleans()):  # one row broken in two by a quoted line break
+        i, k = draw(st.integers(1, n_rows)), draw(st.integers(0, 5))
+        row = rows[i - 1]
+        lines[i:i + 1] = [",".join([*row[:k], '"' + row[k]]),
+                          ",".join(['"', *row[k + 1:]])]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(_FILLERS)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+
+    tmp = tmp_path_factory.mktemp("columnar")
+    p, d = tmp / "panel.csv", tmp / "deflator.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    d.write_text(DEFLATOR_TEXT)
+    deflator = panel._parse_deflator_csv(d)
+    # small blocks, so that rows and quotes also meet at block edges
+    with mock.patch.object(panel, "_BLOCK_ROWS", draw(st.integers(1, 4))):
+        rows_outcome = _ingested(lambda: panel._ingest_rows(p, deflator))
+        assert _ingested(lambda: panel.ingest_csv(p, d).records) == rows_outcome
+        columns = panel._ingest_columns(p, deflator)
+    if isinstance(rows_outcome, tuple):  # the row loop raised
+        assert columns is None
+    elif not any('"' in line for line in lines[1:]
+                 if line.strip() and not line.strip().startswith("#")):
+        assert _column_bits(columns) == rows_outcome  # no needless fallback
