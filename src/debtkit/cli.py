@@ -237,7 +237,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if budget_params is not None:
         budget = dynamics.step_debt(budget_params)
         budget_path = out / "budget_path.csv"
-        panel.write_table(budget_path, ["t", "D"], enumerate(budget.tolist()),
+        panel.write_table(budget_path, ["t", "D"], [range(len(budget)), budget],
                           header, lineterminator="\n")
         print(f"wrote {budget_path}")
     return EXIT_OK
@@ -259,7 +259,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         above = sorted(obs.country_code[in_year & (ratio > args.threshold)])
         rows.append((year, int(in_year.sum()), len(above), ";".join(above)))
     panel.write_table(breaches_path, ["year", "n_countries", "n_above", "countries"],
-                      rows, header, lineterminator="\n")
+                      list(zip(*rows)), header, lineterminator="\n")
     print(f"wrote {breaches_path}")
 
     payload = {

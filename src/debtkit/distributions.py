@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -246,14 +247,15 @@ def summary_stats(samples: Sequence[float]) -> tuple[float, float, int]:
 
 def write_histogram_csv(hist: HistogramPdf, path,
                         header_comment: "str | None" = None) -> None:
-    edges = hist.edges.tolist()
     write_table(path, ["bin_left", "bin_right", "density"],
-                zip(edges[:-1], edges[1:], hist.density.tolist()), header_comment)
+                [hist.edges[:-1], hist.edges[1:], hist.density], header_comment)
 
 
 def write_ranks_csv(ranked: Iterable[tuple[int, float]], path,
                     header_comment: "str | None" = None) -> None:
-    write_table(path, ["rank", "value"], ranked, header_comment)
+    ranked = list(ranked)  # unlike zip(*ranked), itemgetter makes no row objects
+    write_table(path, ["rank", "value"],
+                [list(map(itemgetter(i), ranked)) for i in (0, 1)], header_comment)
 
 
 def gamma_fit_dict(fit: GammaFit) -> dict:

@@ -147,15 +147,13 @@ def simulate_model(params: ModelParams) -> SimPath:
     """
     n_steps = int(round(params.horizon / params.dt_step))
     log_d = math.log(params.d0)
-    times = [0.0]
     values = [params.d0]
     flag = TerminalFlag.COMPLETED
-    for i in range(1, n_steps + 1):
+    for _ in range(n_steps):
         rate = (params.c * math.exp((params.gamma - 1.0) * log_d)
                 - params.r_pop)
         log_d += params.dt_step * rate
         d = math.exp(log_d)
-        times.append(i * params.dt_step)
         values.append(d)
         if d > BLOWUP_THRESHOLD:
             flag = TerminalFlag.BLOWUP
@@ -163,8 +161,9 @@ def simulate_model(params: ModelParams) -> SimPath:
         if d < UNDERFLOW_THRESHOLD:
             flag = TerminalFlag.UNDERFLOW
             break
-    return SimPath(times=np.array(times), d_values=np.array(values),
-                   terminal_flag=flag)
+    # step i is at i * dt_step, as int64 times float64 gives for i < 2**53
+    return SimPath(times=np.arange(len(values)) * params.dt_step,
+                   d_values=np.array(values), terminal_flag=flag)
 
 
 def _country_code(index: int) -> str:
@@ -209,6 +208,9 @@ def synthetic_convergent_panel(
     lo, hi = log_d0_range
     if not hi > lo:
         raise ValueError(f"empty log_d0_range {log_d0_range!r}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"log_d0_range {log_d0_range!r} is wider than a "
+                         "float can hold")
     rng = np.random.default_rng(seed)
     log_d = rng.uniform(lo, hi, n_countries)
     codes = [_country_code(i) for i in range(n_countries)]
@@ -245,5 +247,5 @@ def synthetic_convergent_panel(
 def write_simpath_csv(path_result: SimPath, path,
                       header_comment: "str | None" = None) -> None:
     """Serialize a SimPath to CSV: t,d."""
-    rows = zip(path_result.times.tolist(), path_result.d_values.tolist())
-    write_table(path, ["t", "d"], rows, header_comment)
+    write_table(path, ["t", "d"], [path_result.times, path_result.d_values],
+                header_comment)

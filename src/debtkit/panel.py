@@ -34,6 +34,7 @@ BASE_YEAR = 2000
 YEARS = range(-2 ** 63, 2 ** 63)  # years are stored as int64 columns
 MAX_YEAR_SPAN = 10_000  # most years a flag range or a synthetic panel spans
 _BLOCK_ROWS = 512  # lines per csv.reader in _ingest_columns; 4096 measured slower
+_WRITE_ROWS = 8192  # rows per block in write_table; 1024 was slower, 65536 no faster
 
 # Per-capita amounts are expressed in thousands of base-year USD per person.
 _THOUSAND = 1e3
@@ -173,24 +174,29 @@ def read_table(path: "str | Path", header: list[str], types: tuple):
 
     The first row must match header once trimmed, every later row must have
     as many fields, and field i is converted by types[i]. A fault raises
-    MalformedRow naming its 1-based line.
+    MalformedRow naming its 1-based line; bytes that are not UTF-8 raise
+    MalformedRow naming the file only, as the file is decoded in chunks.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = ((n, _split(n, line)) for n, line in enumerate(f, 1)
-                if line.strip() and not line.strip().startswith("#"))
-        first = next(rows, None)
-        if first is None or [h.strip() for h in first[1]] != header:
-            raise MalformedRow(f"{path}: expected header {','.join(header)!r}",
-                               line=None if first is None else first[0])
-        for line_no, row in rows:
-            if len(row) != len(header):
-                raise MalformedRow(f"expected {len(header)} fields, "
-                                   f"got {len(row)}", line=line_no)
-            try:
-                fields = [convert(x) for convert, x in zip(types, row)]
-            except ValueError as exc:
-                raise MalformedRow(str(exc), line=line_no) from None
-            yield line_no, fields
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = ((n, _split(n, line)) for n, line in enumerate(f, 1)
+                    if line.strip() and not line.strip().startswith("#"))
+            first = next(rows, None)
+            if first is None or [h.strip() for h in first[1]] != header:
+                raise MalformedRow(
+                    f"{path}: expected header {','.join(header)!r}",
+                    line=None if first is None else first[0])
+            for line_no, row in rows:
+                if len(row) != len(header):
+                    raise MalformedRow(f"expected {len(header)} fields, "
+                                       f"got {len(row)}", line=line_no)
+                try:
+                    fields = [convert(x) for convert, x in zip(types, row)]
+                except ValueError as exc:
+                    raise MalformedRow(str(exc), line=line_no) from None
+                yield line_no, fields
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_deflator_csv(path: Path) -> DeflatorSeries:
@@ -212,7 +218,8 @@ def _parse_deflator_csv(path: Path) -> DeflatorSeries:
 def _ingest_columns(path: "str | Path",
                     deflator: DeflatorSeries) -> "RecordColumns | None":
     """The panel's records from one columnar pass, or None if a line is off:
-    _ingest_rows, which parses each line alone, then names the first."""
+    _ingest_rows, which parses each line alone, then names the first. Bytes
+    that are not UTF-8 also give None, so an earlier bad line still wins."""
     def distinct(convert, raw: tuple) -> map:  # convert each string once
         return map({x: convert(x) for x in set(raw)}.__getitem__, raw)
 
@@ -387,31 +394,68 @@ def records_from_observations(obs: PanelColumns,
                          np.full(len(obs), population), obs.income_group)
 
 
-def write_table(path: "str | Path", header: Iterable[str], rows: Iterable,
+def _plain(column, one_column: bool) -> bool:
+    """True if csv.writer writes every value of column as str(value)."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "biuf":
+            return True
+        column = column.tolist()
+    kinds = set(map(type, column))
+    strings = [x for x in column if type(x) is str] if str in kinds else []
+    text = "".join(strings)
+    # csv.writer writes a lone empty field as "" so that its line is not blank
+    return (kinds <= {int, float, str} and not any(c in text for c in ',"\r\n')
+            and not (one_column and "" in strings))
+
+
+def write_table(path: "str | Path", header: Iterable[str], columns: list,
                 header_comment: "str | None" = None,
                 lineterminator: str = "\r\n") -> None:
-    """Write an optional ``# comment`` line, a header and rows as CSV.
+    """Write an optional ``# comment`` line, a header and columns as CSV.
 
-    Fields are written with str(), which is repr() for a Python float.
+    columns holds one equal-length sequence or array per header field; an
+    empty list is a table of no rows. Values are written with str(), which
+    is repr() for a Python float, and an array gives its tolist() values.
+    Each block of _WRITE_ROWS rows is written by one ``%`` format. If a
+    string holds a ``,``, ``"`` or line break, a value is of another type
+    or lineterminator is not a line break, the table goes through
+    csv.writer instead, which quotes fields as its dialect requires.
     """
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("table columns differ in length")
+    width = len(columns)
+    n_rows = len(columns[0]) if columns else 0
+    plain = (set(lineterminator) <= {"\r", "\n"}  # csv quotes its characters
+             and all(_plain(column, width == 1) for column in columns))
+    row = ",".join(["%s"] * width) + lineterminator
     # rows of budget_path.csv and threshold_breaches.csv have always ended in "\n"
     with open(path, "w", newline="", encoding="utf-8") as f:
         if header_comment:
             f.write(f"# {header_comment}\n")
         writer = csv.writer(f, lineterminator=lineterminator)
         writer.writerow(header)
-        writer.writerows(rows)
+        for start in range(0, n_rows, _WRITE_ROWS):
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in
+                     (column[start:start + _WRITE_ROWS] for column in columns)]
+            if plain:  # values in row order, each formatted by "%s", str()
+                values = [None] * (width * len(block[0]))
+                for j, column in enumerate(block):
+                    values[j::width] = column
+                f.write(row * len(block[0]) % tuple(values))
+            else:
+                writer.writerows(zip(*block))
 
 
 def write_panel_csv(path: "str | Path", records: RecordColumns,
                     header_comment: "str | None" = None) -> None:
     """Write records in the panel CSV schema (optionally with a # comment line)."""
-    *columns, groups = (column.tolist() for column in records.columns())
+    *columns, groups = records.columns()
     write_table(path, PANEL_HEADER,
-                zip(*columns, [group.value for group in groups]), header_comment)
+                [*columns, [group.value for group in groups.tolist()]],
+                header_comment)
 
 
 def write_deflator_csv(path: "str | Path", series: DeflatorSeries,
                        header_comment: "str | None" = None) -> None:
-    write_table(path, DEFLATOR_HEADER, sorted(series.values.items()),
+    write_table(path, DEFLATOR_HEADER, list(zip(*sorted(series.values.items()))),
                 header_comment)

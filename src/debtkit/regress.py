@@ -192,6 +192,6 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
 def write_surface_csv(surface: SlopeSurface, path,
                       header_comment: "str | None" = None) -> None:
     """Serialize a SlopeSurface to CSV: variable,t,dt,S,beta,alpha,r_squared,n_countries."""
-    write_table(path, SURFACE_CSV_HEADER, (
+    write_table(path, SURFACE_CSV_HEADER, list(zip(*(
         (e.variable.value, e.t, e.dt, e.S, e.beta, e.alpha, e.r_squared,
-         e.n_countries) for e in surface.entries), header_comment)
+         e.n_countries) for e in surface.entries))), header_comment)

@@ -71,6 +71,6 @@ def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
 def write_trend_csv(fits: Iterable[ScalingFit], path,
                     header_comment: "str | None" = None) -> None:
     """Serialize ScalingFits to CSV: year,gamma,log_A,r_squared,n_countries."""
-    write_table(path, TREND_CSV_HEADER, (
+    write_table(path, TREND_CSV_HEADER, list(zip(*(
         (fit.year, fit.gamma, fit.log_A, fit.r_squared, fit.n_countries)
-        for fit in fits), header_comment)
+        for fit in fits))), header_comment)

@@ -381,6 +381,19 @@ def test_data_error_exits_two(tmp_path, capsys):
         assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["panel", "deflator"])
+def test_non_utf8_input_exits_two(tmp_path, small_panel, capsys, bad):
+    paths = dict(zip(["panel", "deflator"], small_panel))
+    with open(paths[bad], "ab") as f:
+        f.write(b"\xff\n")
+    rc = cli.main(["dist", "--panel", paths["panel"], "--deflator",
+                   paths["deflator"], "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"data error: {paths[bad]}: not UTF-8 text" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_overflowing_rows_exit_two(tmp_path, capsys):
     # finite flags whose generated amounts overflow fail the row rules
     out = tmp_path / "o"

@@ -195,6 +195,18 @@ def test_simulate_underflow_flag():
     assert path.d_values[-1] < 1e-12
 
 
+def test_simulate_times_are_step_products():
+    # a completed path and one that stops early on blowup
+    for p, flag in ((_params(gamma=0.8, dt_step=0.1, horizon=1000.0),
+                     dynamics.TerminalFlag.COMPLETED),
+                    (_params(gamma=1.0, c=2.0, r_pop=0.0, d0=1e9, dt_step=0.3,
+                             horizon=100.0), dynamics.TerminalFlag.BLOWUP)):
+        path = dynamics.simulate_model(p)
+        assert path.terminal_flag is flag
+        assert np.array_equal(path.times, np.array(
+            [i * p.dt_step for i in range(len(path.d_values))]))
+
+
 def test_simpath_csv(tmp_path):
     p = _params(gamma=1.0, horizon=1.0, dt_step=0.5)
     path = dynamics.simulate_model(p)
@@ -329,6 +341,11 @@ def test_synthetic_panel_guards():
         dynamics.synthetic_convergent_panel(
             n_countries=5, years=[2000], alpha=0.0, beta=0.0, sigma=0.1,
             seed=0, log_d0_range=(2.0, 2.0))
+    # finite ends whose difference overflows
+    with pytest.raises(ValueError, match="log_d0_range"):
+        dynamics.synthetic_convergent_panel(
+            n_countries=5, years=[2000], alpha=0.0, beta=0.0, sigma=0.1,
+            seed=0, log_d0_range=(-1e308, 1e308))
     # the panel is evolved through every year from the first to the last
     with pytest.raises(ValueError, match="10000"):
         dynamics.synthetic_convergent_panel(

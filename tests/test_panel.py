@@ -1,5 +1,6 @@
 """Panel ingestion, validation, and per-capita normalization tests."""
 
+import csv
 import math
 import string
 import tempfile
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debtkit import errors, panel
@@ -417,9 +418,9 @@ def _write_records_rows(path, obs, population, header_comment):
                obs.income_group.tolist())
     records = [_CountryYearRecord(code, year, gdp, debt, population, group)
                for code, year, gdp, debt, group in rows]
-    panel.write_table(path, panel.PANEL_HEADER, (
+    panel.write_table(path, panel.PANEL_HEADER, list(zip(*(
         (rec.country_code, rec.year, rec.gdp_nominal, rec.debt_nominal,
-         rec.population, rec.income_group.value) for rec in records),
+         rec.population, rec.income_group.value) for rec in records))),
         header_comment)
 
 
@@ -661,3 +662,94 @@ def test_columnar_pass_equals_row_loop(data, tmp_path_factory):
     elif not any('"' in line for line in lines[1:]
                  if line.strip() and not line.strip().startswith("#")):
         assert _column_bits(columns) == rows_outcome  # no needless fallback
+
+
+# ----------------------------------------------- column writer vs csv.writer
+
+_B = panel._WRITE_ROWS
+
+# one strategy per column kind: (cell values, numpy dtype or None for lists)
+_CELLS = {
+    "int": (st.integers(), None),
+    "int64": (st.integers(-2 ** 63, 2 ** 63 - 1), np.int64),
+    "float": (st.one_of(st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]),
+        st.floats()), float),
+    "str": (st.one_of(st.sampled_from(
+        ["", " ", " a ", ",", '"', '""', "\r", "\n", "\r\n", "x,y", "BRA"]),
+        st.text(st.sampled_from('ab ;,"\r\n'), max_size=4)), object),
+    "other": (st.sampled_from([None, True, panel.IncomeGroup.LOW,
+                               np.float64(0.5), np.int64(7)]), None),
+}
+
+
+def _csv_writer_table(path, header, columns, header_comment, lineterminator):
+    """csv.writer over rows of the columns' values: the reference."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(f"# {header_comment}\n")
+        writer = csv.writer(f, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(zip(*(column.tolist() if isinstance(column, np.ndarray)
+                               else column for column in columns)))
+
+
+@st.composite
+def _tables(draw):
+    """Columns of one kind each, lists or arrays, of a shared length."""
+    n_rows = draw(st.one_of(st.sampled_from([0, _B - 1, _B, _B + 1]),
+                            st.integers(0, 4)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=4)):
+        cells, dtype = _CELLS[kind]
+        pool = draw(st.lists(cells, min_size=1, max_size=5))
+        column = [pool[i % len(pool)] for i in range(n_rows)]
+        if dtype is not None and draw(st.booleans()):
+            column = np.array(column, dtype=dtype)
+        columns.append(column)
+    return columns
+
+
+@settings(derandomize=True, database=None)
+@given(columns=_tables(),
+       lineterminator=st.sampled_from(["\r\n", "\n", "%;\n"]))
+@example(columns=[["", "a"]], lineterminator="\n")  # a lone empty field
+@example(columns=[[1, 2], ["a", "b\rc"]], lineterminator="\r\n")
+@example(columns=[["a;b", "c"], [1.5, -0.0]], lineterminator="%;\n")
+def test_write_table_equals_csv_writer(columns, lineterminator,
+                                       tmp_path_factory):
+    header = [f"c{i}" for i in range(len(columns))]
+    tmp = tmp_path_factory.mktemp("table")
+    panel.write_table(tmp / "columns.csv", header, columns, "unit test",
+                      lineterminator)
+    _csv_writer_table(tmp / "rows.csv", header, columns, "unit test",
+                      lineterminator)
+    assert (tmp / "columns.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+
+
+def test_write_table_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        panel.write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
+
+
+# ------------------------------------------------------ input not UTF-8
+
+def test_non_utf8_input_is_malformed(tmp_path):
+    # a panel line holds a byte that is not UTF-8
+    p, d = tmp_path / "panel.csv", tmp_path / "deflator.csv"
+    p.write_bytes(PANEL_TEXT.replace("BRA", "BR\xff").encode("latin-1"))
+    d.write_text(DEFLATOR_TEXT)
+    with pytest.raises(errors.MalformedRow, match="not UTF-8") as exc:
+        panel.ingest_csv(p, d)
+    assert str(p) in str(exc.value) and exc.value.line is None
+    d.write_bytes(DEFLATOR_TEXT.replace("0.95", "0.9\xff").encode("latin-1"))
+    with pytest.raises(errors.MalformedRow, match="not UTF-8") as exc:
+        panel.ingest_csv(tmp_path / "unread.csv", d)
+    assert str(d) in str(exc.value)
+    # a bad line decoded before the bad byte still names its line
+    rows = [f"C{chr(65 + i // 26)}{chr(65 + i % 26)},2000,1e9,1e8,1e3,LOW"
+            for i in range(400)]
+    rows[1] = rows[0]  # line 3 repeats line 2
+    p.write_bytes("\n".join([PANEL_HEADER, *rows, "\xff"]).encode("latin-1"))
+    d.write_text(DEFLATOR_TEXT)
+    with pytest.raises(errors.DuplicateKey, match="line 3"):
+        panel.ingest_csv(p, d)
