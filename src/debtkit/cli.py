@@ -19,13 +19,16 @@ import hashlib
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import distributions as dist
 from . import dynamics, panel, regress, scaling
 from .errors import (DebtkitError, DegenerateSample, DegenerateX, EmptyPanel,
-                     NoConvergence)
+                     NoConvergence, WindowTooSmall)
 from .panel import MAX_YEAR_SPAN
 
 EXIT_OK = 0
@@ -89,19 +92,28 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _header(args: argparse.Namespace) -> str:
-    return f"debtkit {__version__} config={_config_hash(args)} log=natural"
+def _write(args: argparse.Namespace, outputs: list) -> None:
+    """Make --out and write each (file name, output, stdout note) in order.
 
-
-def _meta(args: argparse.Namespace) -> dict:
-    return {"version": __version__, "config": _config_hash(args),
-            "log": "natural"}
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
+    Subcommands compute every output before calling this, so a failure
+    leaves no file behind. A dict output is written as JSON with "_meta"
+    added; any other output is a writer called as
+    ``output(path, header_comment=stamp)``.
+    """
+    config = _config_hash(args)
+    stamp = f"debtkit {__version__} config={config} log=natural"
+    meta = {"version": __version__, "config": config, "log": "natural"}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, output, note in outputs:
+        path = out / name
+        if isinstance(output, dict):
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump({**output, "_meta": meta}, f, indent=2, sort_keys=True)
+                f.write("\n")
+        else:
+            output(path, header_comment=stamp)
+        print(f"wrote {path}{note}")
 
 
 def _load_observations(args: argparse.Namespace) -> panel.PanelColumns:
@@ -117,13 +129,6 @@ def _years(args: argparse.Namespace, obs) -> list[int]:
         set(obs.year.tolist()))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {path}")
-
-
 def cmd_converge(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
     # slope_surface needs both endpoints; cap initial years below the last one
@@ -132,60 +137,53 @@ def cmd_converge(args: argparse.Namespace) -> int:
     if not t_list:
         raise ValueError(f"--years has no initial year before the panel's "
                          f"last year {last}")
-    # every surface is fitted before --out is made, so a failure writes nothing
     surfaces = [regress.slope_surface(obs, variable, t_list, args.dt_max,
                                       args.r2_min) for variable in panel.Variable]
-    header = _header(args)
-    out = _out_dir(args)
-    for surface in surfaces:
-        path = out / f"surface_{surface.variable.value}.csv"
-        regress.write_surface_csv(surface, path, header_comment=header)
-        print(f"wrote {path} ({len(surface.entries)} fits, "
-              f"{surface.n_dropped} below r2_min, {surface.n_skipped} skipped)")
+    _write(args, [(f"surface_{s.variable.value}.csv",
+                   partial(regress.write_surface_csv, s),
+                   f" ({len(s.entries)} fits, {s.n_dropped} below r2_min, "
+                   f"{s.n_skipped} skipped)") for s in surfaces])
     return EXIT_OK
 
 
-def _dist_outputs(obs, suffix: str, args, out: Path, header: str) -> None:
+def _dist_outputs(obs, suffix: str, args) -> list:
+    """The outputs of one `dist` set: histograms, Zipf ranks and both fits."""
     samples = {"d": obs.d, "R": obs.ratio_R}
-    for name, values in samples.items():
-        path = out / f"pdf_{name}{suffix}.csv"
-        dist.write_histogram_csv(dist.histogram_pdf(values, args.bins), path,
-                                 header_comment=header)
-        print(f"wrote {path}")
+    hists = {name: dist.histogram_pdf(values, args.bins)
+             for name, values in samples.items()}
     ranked = {name: dist.zipf_ranks(values) for name, values in samples.items()}
-    for name, ranks in ranked.items():
-        path = out / f"zipf_{name}{suffix}.csv"
-        dist.write_ranks_csv(ranks, path, header_comment=header)
-        print(f"wrote {path}")
-
-    # default fit window covers the strictly positive prefix of each rank plot
-    def window(ranked):
-        if args.rank_window:
-            return tuple(args.rank_window)
-        return (1, sum(1 for _, v in ranked if v > 0))
-
-    zipf_payload = {name: dist.zipf_fit_dict(dist.fit_zipf_exponent(r, window(r)))
-                    for name, r in ranked.items()}
-    zipf_payload["_meta"] = _meta(args)
-    _write_json(out / f"zipf_fit{suffix}.json", zipf_payload)
+    zipf_payload = {}
+    for name, values in samples.items():
+        # default fit window covers the strictly positive prefix of the ranks
+        window = args.rank_window or (1, int(np.count_nonzero(values > 0)))
+        if window[1] == 0:
+            raise WindowTooSmall(f"{name} has 0 positive values; the Zipf fit "
+                                 f"needs >= 3")
+        zipf_payload[name] = dist.zipf_fit_dict(
+            dist.fit_zipf_exponent(ranked[name], window))
 
     positive_r = samples["R"][samples["R"] > 0]
     n_zero = len(samples["R"]) - len(positive_r)
     if n_zero:
         print(f"note: {n_zero} zero-debt ratios excluded from the gamma fit",
               file=sys.stderr)
-    gamma_fit = dist.fit_gamma_mle(positive_r)
-    payload = dist.gamma_fit_dict(gamma_fit)
-    payload["n_zero_excluded"] = n_zero
-    payload["_meta"] = _meta(args)
-    _write_json(out / f"gamma_fit{suffix}.json", payload)
+    gamma_payload = dist.gamma_fit_dict(dist.fit_gamma_mle(positive_r))
+    gamma_payload["n_zero_excluded"] = n_zero
+    return [
+        *[(f"pdf_{name}{suffix}.csv", partial(dist.write_histogram_csv, hist), "")
+          for name, hist in hists.items()],
+        *[(f"zipf_{name}{suffix}.csv", partial(dist.write_ranks_csv, ranks), "")
+          for name, ranks in ranked.items()],
+        (f"zipf_fit{suffix}.json", zipf_payload, ""),
+        (f"gamma_fit{suffix}.json", gamma_payload, ""),
+    ]
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
-    header = _header(args)
-    out = _out_dir(args)
-    _dist_outputs(obs, "", args, out, header)
+    # one set is computed and written at a time: the Zipf rank tables of all
+    # four sets together would raise the peak memory of --group all
+    _write(args, _dist_outputs(obs, "", args))
     if args.group:
         wanted = (list(panel.IncomeGroup) if args.group == "all"
                   else [panel.IncomeGroup(args.group.upper())])
@@ -196,11 +194,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
                 print(f"note: income group {group.value} is empty; "
                       f"*{suffix} files omitted", file=sys.stderr)
                 continue
-            try:
-                _dist_outputs(subset, suffix, args, out, header)
+            try:  # only computing a set raises DebtkitError, never writing it
+                _write(args, _dist_outputs(subset, suffix, args))
             except DebtkitError as exc:
                 print(f"note: income group {group.value}: {exc}; "
-                      f"remaining *{suffix} files omitted", file=sys.stderr)
+                      f"*{suffix} files omitted", file=sys.stderr)
     return EXIT_OK
 
 
@@ -208,11 +206,9 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
     years = _years(args, obs)
     fits = scaling.gamma_trend(obs, years)
-    out = _out_dir(args)
-    path = out / "gamma_trend.csv"
-    scaling.write_trend_csv(fits, path, header_comment=_header(args))
+    _write(args, [("gamma_trend.csv", partial(scaling.write_trend_csv, fits),
+                   f" ({len(fits)} years)")])
     skipped = sorted(set(years) - {f.year for f in fits})
-    print(f"wrote {path} ({len(fits)} years)")
     if skipped:
         print(f"note: skipped years without enough data: "
               f"{','.join(map(str, skipped))}", file=sys.stderr)
@@ -223,53 +219,46 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = dynamics.ModelParams(c=args.c, gamma=args.gamma, r_pop=args.r_pop,
                                   d0=args.d0, dt_step=args.dt_step,
                                   horizon=args.horizon)
-    # built before the simulation so that a rejected flag writes no file
+    # built before the simulation so that a rejected flag costs no model run
     budget_params = None if args.budget_d0 is None else dynamics.BudgetParams(
         d0=args.budget_d0, interest=args.budget_interest,
         primary_deficit=args.budget_deficit, horizon=int(round(args.horizon)))
     path_result = dynamics.simulate_model(params)
-    out = _out_dir(args)
-    header = _header(args)
-    sim_path = out / "simpath.csv"
-    dynamics.write_simpath_csv(path_result, sim_path, header_comment=header)
-    print(f"wrote {sim_path} ({len(path_result.times)} points, "
-          f"{path_result.terminal_flag.value})")
+    outputs = [("simpath.csv", partial(dynamics.write_simpath_csv, path_result),
+                f" ({len(path_result.times)} points, "
+                f"{path_result.terminal_flag.value})")]
     if budget_params is not None:
         budget = dynamics.step_debt(budget_params)
-        budget_path = out / "budget_path.csv"
-        panel.write_table(budget_path, ["t", "D"], [range(len(budget)), budget],
-                          header, lineterminator="\n")
-        print(f"wrote {budget_path}")
+        outputs.append(("budget_path.csv", partial(
+            panel.write_table, header=["t", "D"],
+            columns=[range(len(budget)), budget], lineterminator="\n"), ""))
+    _write(args, outputs)
     return EXIT_OK
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
-    out = _out_dir(args)
-    header = _header(args)
     ratio = obs.ratio_R
     n_zero = int((ratio == 0).sum())
     fit = dist.fit_gamma_mle(ratio[ratio > 0])
-    tail = fit.tail_probability(args.threshold)
-
-    breaches_path = out / "threshold_breaches.csv"
     rows = []
     for year in sorted(set(obs.year.tolist())):
         in_year = obs.year == year
         above = sorted(obs.country_code[in_year & (ratio > args.threshold)])
         rows.append((year, int(in_year.sum()), len(above), ";".join(above)))
-    panel.write_table(breaches_path, ["year", "n_countries", "n_above", "countries"],
-                      list(zip(*rows)), header, lineterminator="\n")
-    print(f"wrote {breaches_path}")
-
-    payload = {
+    summary = {
         "threshold": args.threshold,
-        "tail_probability": tail,
+        "tail_probability": fit.tail_probability(args.threshold),
         "gamma_fit": dist.gamma_fit_dict(fit),
         "n_zero_excluded": n_zero,
-        "_meta": _meta(args),
     }
-    _write_json(out / "threshold_summary.json", payload)
+    _write(args, [
+        ("threshold_breaches.csv", partial(
+            panel.write_table, header=["year", "n_countries", "n_above",
+                                       "countries"],
+            columns=list(zip(*rows)), lineterminator="\n"), ""),
+        ("threshold_summary.json", summary, ""),
+    ])
     return EXIT_OK
 
 
@@ -283,14 +272,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     records = panel.records_from_observations(obs, population=args.population)
     deflator = panel.DeflatorSeries(
         values={y: 1.0 for y in [*years, panel.BASE_YEAR]})
-    out = _out_dir(args)
-    header = _header(args)
-    panel_path = out / "panel_synth.csv"
-    deflator_path = out / "deflator_synth.csv"
-    panel.write_panel_csv(panel_path, records, header_comment=header)
-    panel.write_deflator_csv(deflator_path, deflator, header_comment=header)
-    print(f"wrote {panel_path} ({len(records)} rows)")
-    print(f"wrote {deflator_path}")
+    _write(args, [
+        ("panel_synth.csv", partial(panel.write_panel_csv, records=records),
+         f" ({len(records)} rows)"),
+        ("deflator_synth.csv", partial(panel.write_deflator_csv,
+                                       series=deflator), ""),
+    ])
     return EXIT_OK
 
 

@@ -169,14 +169,18 @@ def fit_gamma_mle(samples: Sequence[float]) -> GammaFit:
     n = int(arr.size)
     if n < 2:
         raise DegenerateSample("gamma fit needs at least two samples")
-    mean = float(arr.mean())
+    with np.errstate(over="ignore"):  # an overflow leaves no finite start
+        mean = float(arr.mean())
+        variance = float(arr.var())
     log_arr = np.log(arr)
     mean_log = float(log_arr.mean())
     s = math.log(mean) - mean_log  # > 0 by Jensen unless the sample is constant
-    variance = float(arr.var())
     if variance == 0.0 or s <= 0.0:
         raise DegenerateSample("zero-variance sample drives the shape to infinity")
     k = mean * mean / variance
+    if not 0.0 < k < math.inf:
+        raise NoConvergence(f"gamma shape start mean**2/variance = {k!r} is "
+                            f"not finite and > 0")
     for _ in range(_NEWTON_MAX_ITER):
         f = math.log(k) - digamma(k) - s
         f_prime = 1.0 / k - trigamma(k)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import warnings
 
 import pytest
@@ -117,6 +118,32 @@ def test_dist_group_outputs(tmp_path, small_panel, capsys):
     assert not (out / "gamma_fit_low.json").exists()
 
 
+def test_dist_group_of_zero_debt_is_a_note(tmp_path, capsys):
+    # the LOW countries carry no debt, so their default Zipf window is empty
+    rows = [f"{code},{year},{gdp}e9,{debt}e8,1e6,{group}"
+            for year in (2000, 2001)
+            for code, gdp, debt, group in (
+                ("AAA", 1, 0, "LOW"), ("BBB", 2, 0, "LOW"), ("CCC", 3, 0, "LOW"),
+                ("DDD", 1, 4, "MEDIUM"), ("EEE", 2, 9, "MEDIUM"),
+                ("FFF", 3, 7, "MEDIUM"), ("GGG", 4, 5, "HIGH"),
+                ("HHH", 5, 8, "HIGH"), ("III", 6, 2, "HIGH"))]
+    panel_path, deflator_path = _write_panel(tmp_path, rows)
+    out = tmp_path / "dist"
+    rc = cli.main(["dist", "--panel", panel_path, "--deflator", deflator_path,
+                   "--out", str(out), "--group", "all"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert ("note: income group LOW: d has 0 positive values; the Zipf fit "
+            "needs >= 3; *_low files omitted") in err
+    # a failed group writes none of its set, and the other groups all of theirs
+    names = {f.name for f in out.iterdir()}
+    sets = {suffix: {f"{stem}{suffix}.{ext}" for stem, ext in (
+        ("pdf_d", "csv"), ("pdf_R", "csv"), ("zipf_d", "csv"),
+        ("zipf_R", "csv"), ("zipf_fit", "json"), ("gamma_fit", "json"))}
+        for suffix in ("", "_medium", "_high")}
+    assert names == set().union(*sets.values())
+
+
 def test_scaling_output(tmp_path):
     panel_path, deflator_path = _synth(tmp_path)
     out = tmp_path / "scl"
@@ -192,6 +219,29 @@ def test_help_and_version_exit_zero(capsys):
     assert cli.main(["--version"]) == 0
     out = capsys.readouterr().out
     assert "converge" in out
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("converge", ["--dt-max", "3"]),
+    ("dist", ["--group", "all"]),
+    ("scaling", []),
+    ("threshold", []),
+    ("synth", ["--n-countries", "5", "--years", "2000:2002"]),
+    ("simulate", ["--horizon", "2", "--budget-d0", "100"]),
+])
+def test_wrote_lines_name_every_output(tmp_path, capsys, command, argv):
+    io = []
+    if command not in ("synth", "simulate"):
+        panel_path, deflator_path = _synth(tmp_path)
+        io = ["--panel", panel_path, "--deflator", deflator_path]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main([command, *io, "--out", str(out), *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    prefix = f"wrote {out}{os.sep}"
+    assert all(line.startswith(prefix) for line in lines), lines
+    written = [line[len(prefix):].split(" ")[0] for line in lines]
+    assert sorted(written) == sorted(f.name for f in out.iterdir())
 
 
 # ------------------------------------------------------------ golden bytes
@@ -457,3 +507,25 @@ def test_numerical_error_exits_three(tmp_path, capsys):
         assert "numerical" in capsys.readouterr().err
         # every surface is fitted before any is written
         assert not list(out.glob("surface_*.csv"))
+
+
+@pytest.mark.parametrize("command, debt, code, message", [
+    # R near 1e300: the variance of the gamma fit's moment start overflows
+    ("dist", "{i}e299", 3, "numerical failure: gamma shape start"),
+    ("threshold", "{i}e299", 3, "numerical failure: gamma shape start"),
+    # no positive debt leaves the default Zipf window empty
+    ("dist", "0.0", 2, "data error: d has 0 positive values"),
+])
+def test_failed_fit_leaves_no_out_dir(tmp_path, capsys, command, debt, code,
+                                      message):
+    rows = [f"{c}{c}{c},2000,1.0,{debt.format(i=i)},1.0,LOW"
+            for i, c in enumerate("ABCDEF", start=1)]
+    panel_path, deflator_path = _write_panel(tmp_path, rows)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--panel", panel_path,
+                       "--deflator", deflator_path, "--out", str(out)])
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()

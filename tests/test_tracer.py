@@ -35,3 +35,29 @@ def test_tracer_targets_exist_and_are_restored():
     assert [span[1] for span in recorder.take()] == ["regress.ols"]
     for (name, attr), fn in originals.items():
         assert getattr(modules[name], attr) is fn, (name, attr)
+
+
+def test_tracer_sees_dist_writers_under_cli_dist(tmp_path):
+    # the writers are looked up when dist runs, not bound before install
+    from debtkit import cli
+
+    panel = tmp_path / "panel.csv"
+    deflator = tmp_path / "deflator.csv"
+    panel.write_text(
+        "country_code,year,gdp_nominal_usd,debt_nominal_usd,population,"
+        "income_group\n" + "".join(
+            f"{code},2000,{gdp}e9,{debt}e8,1e6,HIGH\n" for code, gdp, debt in
+            (("AAA", 1, 9), ("BBB", 2, 7), ("CCC", 3, 4), ("DDD", 4, 8))))
+    deflator.write_text("year,deflator\n2000,1.0\n")
+    recorder = _load_tracer().Tracer()
+    recorder.install()
+    try:
+        assert cli.main(["dist", "--panel", str(panel), "--deflator",
+                         str(deflator), "--out", str(tmp_path / "o")]) == 0
+    finally:
+        recorder.uninstall()
+    spans = recorder.take()
+    for writer in ("distributions.write_ranks_csv",
+                   "distributions.write_histogram_csv"):
+        parents = [spans[span[0]][1] for span in spans if span[1] == writer]
+        assert parents == ["cli.dist", "cli.dist"], writer
