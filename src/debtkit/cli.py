@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -159,16 +160,15 @@ def _dist_outputs(obs, suffix: str, args) -> list:
         if window[1] == 0:
             raise WindowTooSmall(f"{name} has 0 positive values; the Zipf fit "
                                  f"needs >= 3")
-        zipf_payload[name] = dist.zipf_fit_dict(
-            dist.fit_zipf_exponent(ranked[name], window))
+        zipf_payload[name] = asdict(dist.fit_zipf_exponent(ranked[name], window))
 
     positive_r = samples["R"][samples["R"] > 0]
     n_zero = len(samples["R"]) - len(positive_r)
     if n_zero:
         print(f"note: {n_zero} zero-debt ratios excluded from the gamma fit",
               file=sys.stderr)
-    gamma_payload = dist.gamma_fit_dict(dist.fit_gamma_mle(positive_r))
-    gamma_payload["n_zero_excluded"] = n_zero
+    gamma_payload = {**asdict(dist.fit_gamma_mle(positive_r)),
+                     "n_zero_excluded": n_zero}
     return [
         *[(f"pdf_{name}{suffix}.csv", partial(dist.write_histogram_csv, hist), "")
           for name, hist in hists.items()],
@@ -181,9 +181,7 @@ def _dist_outputs(obs, suffix: str, args) -> list:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
-    # one set is computed and written at a time: the Zipf rank tables of all
-    # four sets together would raise the peak memory of --group all
-    _write(args, _dist_outputs(obs, "", args))
+    outputs = _dist_outputs(obs, "", args)
     if args.group:
         wanted = (list(panel.IncomeGroup) if args.group == "all"
                   else [panel.IncomeGroup(args.group.upper())])
@@ -194,11 +192,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
                 print(f"note: income group {group.value} is empty; "
                       f"*{suffix} files omitted", file=sys.stderr)
                 continue
-            try:  # only computing a set raises DebtkitError, never writing it
-                _write(args, _dist_outputs(subset, suffix, args))
+            try:
+                outputs += _dist_outputs(subset, suffix, args)
             except DebtkitError as exc:
                 print(f"note: income group {group.value}: {exc}; "
                       f"*{suffix} files omitted", file=sys.stderr)
+    _write(args, outputs)
     return EXIT_OK
 
 
@@ -249,7 +248,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     summary = {
         "threshold": args.threshold,
         "tail_probability": fit.tail_probability(args.threshold),
-        "gamma_fit": dist.gamma_fit_dict(fit),
+        "gamma_fit": asdict(fit),
         "n_zero_excluded": n_zero,
     }
     _write(args, [

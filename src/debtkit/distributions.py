@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaincc
@@ -200,38 +199,48 @@ def fit_gamma_mle(samples: Sequence[float]) -> GammaFit:
     return GammaFit(k=k, r_c=r_c, log_likelihood=log_likelihood, n=n)
 
 
-def zipf_ranks(samples: Sequence[float]) -> list[tuple[int, float]]:
-    """(rank, value) pairs with values sorted descending, rank starting at 1.
+def zipf_ranks(samples: Sequence[float]) -> np.ndarray:
+    """The samples sorted descending: the value at index i has rank i + 1.
 
-    Ties keep their input order (stable sort).
+    Ties keep their input order (stable sort). NaN has no place in a
+    descending order, so the samples must be finite.
     """
-    values = [float(v) for v in samples]
-    if not values:
+    values = np.asarray(samples, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"samples must be 1-d, got shape {values.shape}")
+    if values.size == 0:
         raise EmptySample("rank plot needs at least one sample")
-    ordered = sorted(values, key=lambda v: -v)
-    return [(rank, value) for rank, value in enumerate(ordered, start=1)]
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValue("samples must be finite")
+    return values[np.argsort(-values, kind="stable")]
 
 
-def fit_zipf_exponent(ranked: Sequence[tuple[int, float]],
+def fit_zipf_exponent(ranked: Sequence[float],
                       rank_window: "tuple[int, int] | None" = None) -> ZipfFit:
-    """OLS of log value on log rank over ranks [r_lo, r_hi]; zeta = -slope."""
-    if not ranked:
+    """OLS of log value on log rank over ranks [r_lo, r_hi]; zeta = -slope.
+
+    ranked holds values in rank order, as zipf_ranks returns them: the value
+    at index i has rank i + 1. The default window is every rank.
+    """
+    ranked = np.asarray(ranked, dtype=float)
+    if ranked.ndim != 1:
+        raise ValueError(f"ranked must be 1-d, the values in rank order "
+                         f"(rank i + 1 at index i); got shape {ranked.shape}")
+    if ranked.size == 0:
         raise EmptySample("no ranked values")
     if rank_window is None:
-        rank_window = (1, max(r for r, _ in ranked))
+        rank_window = (1, ranked.size)
     r_lo, r_hi = int(rank_window[0]), int(rank_window[1])
     if r_lo < 1 or r_hi < r_lo:
         raise ValueError(f"bad rank window ({r_lo}, {r_hi})")
-    window = [(r, v) for r, v in ranked if r_lo <= r <= r_hi]
-    if len(window) < 3:
+    window = ranked[r_lo - 1:r_hi]
+    if window.size < 3:
         raise WindowTooSmall(
-            f"window [{r_lo}, {r_hi}] holds {len(window)} ranks; need >= 3")
-    if any(v <= 0 for _, v in window):
+            f"window [{r_lo}, {r_hi}] holds {window.size} ranks; need >= 3")
+    if np.any(window <= 0):
         raise NonPositiveInWindow(
             f"window [{r_lo}, {r_hi}] contains values <= 0")
-    log_rank = np.log([r for r, _ in window])
-    log_value = np.log([v for _, v in window])
-    fit = ols(log_rank, log_value)
+    fit = ols(np.log(np.arange(r_lo, r_lo + window.size)), np.log(window))
     zeta = -fit.slope
     if zeta <= 0:
         raise DegenerateSample(
@@ -255,19 +264,7 @@ def write_histogram_csv(hist: HistogramPdf, path,
                 [hist.edges[:-1], hist.edges[1:], hist.density], header_comment)
 
 
-def write_ranks_csv(ranked: Iterable[tuple[int, float]], path,
+def write_ranks_csv(ranked: np.ndarray, path,
                     header_comment: "str | None" = None) -> None:
-    ranked = list(ranked)  # unlike zip(*ranked), itemgetter makes no row objects
     write_table(path, ["rank", "value"],
-                [list(map(itemgetter(i), ranked)) for i in (0, 1)], header_comment)
-
-
-def gamma_fit_dict(fit: GammaFit) -> dict:
-    return {"k": fit.k, "r_c": fit.r_c,
-            "log_likelihood": fit.log_likelihood, "n": fit.n}
-
-
-def zipf_fit_dict(fit: ZipfFit) -> dict:
-    return {"zeta": fit.zeta, "rank_window": list(fit.rank_window),
-            "r_squared": fit.r_squared,
-            "implied_pdf_exponent": fit.implied_pdf_exponent}
+                [np.arange(1, len(ranked) + 1), ranked], header_comment)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice
@@ -35,6 +36,7 @@ YEARS = range(-2 ** 63, 2 ** 63)  # years are stored as int64 columns
 MAX_YEAR_SPAN = 10_000  # most years a flag range or a synthetic panel spans
 _BLOCK_ROWS = 512  # lines per csv.reader in _ingest_columns; 4096 measured slower
 _WRITE_ROWS = 8192  # rows per block in write_table; 1024 was slower, 65536 no faster
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes of a bad byte
 
 # Per-capita amounts are expressed in thousands of base-year USD per person.
 _THOUSAND = 1e3
@@ -169,34 +171,42 @@ def _split(line_no: int, line: str) -> list[str]:
         raise MalformedRow(str(exc), line=line_no) from None
 
 
+def _lines(path: "str | Path", f):
+    """(line_no, line) for each line of f, which is opened with
+    errors="surrogateescape": a byte that is not UTF-8 decodes to a
+    surrogate, and raises MalformedRow naming its line."""
+    for n, line in enumerate(f, 1):
+        if _NOT_UTF8.search(line):
+            raise MalformedRow(f"{path}: not UTF-8 text", line=n)
+        yield n, line
+
+
 def read_table(path: "str | Path", header: list[str], types: tuple):
     """Yield (line_no, fields) per data row, skipping blank and # lines.
 
     The first row must match header once trimmed, every later row must have
-    as many fields, and field i is converted by types[i]. A fault raises
-    MalformedRow naming its 1-based line; bytes that are not UTF-8 raise
-    MalformedRow naming the file only, as the file is decoded in chunks.
+    as many fields, and field i is converted by types[i]. A fault, such as
+    a byte that is not UTF-8 on any line, raises MalformedRow naming its
+    1-based line.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = ((n, _split(n, line)) for n, line in enumerate(f, 1)
-                    if line.strip() and not line.strip().startswith("#"))
-            first = next(rows, None)
-            if first is None or [h.strip() for h in first[1]] != header:
-                raise MalformedRow(
-                    f"{path}: expected header {','.join(header)!r}",
-                    line=None if first is None else first[0])
-            for line_no, row in rows:
-                if len(row) != len(header):
-                    raise MalformedRow(f"expected {len(header)} fields, "
-                                       f"got {len(row)}", line=line_no)
-                try:
-                    fields = [convert(x) for convert, x in zip(types, row)]
-                except ValueError as exc:
-                    raise MalformedRow(str(exc), line=line_no) from None
-                yield line_no, fields
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as f:
+        rows = ((n, _split(n, line)) for n, line in _lines(path, f)
+                if line.strip() and not line.strip().startswith("#"))
+        first = next(rows, None)
+        if first is None or [h.strip() for h in first[1]] != header:
+            raise MalformedRow(
+                f"{path}: expected header {','.join(header)!r}",
+                line=None if first is None else first[0])
+        for line_no, row in rows:
+            if len(row) != len(header):
+                raise MalformedRow(f"expected {len(header)} fields, "
+                                   f"got {len(row)}", line=line_no)
+            try:
+                fields = [convert(x) for convert, x in zip(types, row)]
+            except ValueError as exc:
+                raise MalformedRow(str(exc), line=line_no) from None
+            yield line_no, fields
 
 
 def _parse_deflator_csv(path: Path) -> DeflatorSeries:

@@ -127,7 +127,7 @@ def test_3_gamma_mle_recovery(criterion):
 
 def test_4_zipf_pdf_duality(criterion):
     with criterion("zipf fit: exact zeta=0.4 and Pareto tail near 3.5"):
-        ranked = [(r, 7.0 * r ** -0.4) for r in range(1, 201)]
+        ranked = [7.0 * r ** -0.4 for r in range(1, 201)]
         fit = distributions.fit_zipf_exponent(ranked)
         assert abs(fit.zeta - 0.4) <= 1e-10
         assert abs(fit.implied_pdf_exponent - 3.5) <= 1e-9

@@ -440,7 +440,8 @@ def test_non_utf8_input_exits_two(tmp_path, small_panel, capsys, bad):
                    paths["deflator"], "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"data error: {paths[bad]}: not UTF-8 text" in err
+    line = {"panel": 10, "deflator": 4}[bad]  # the appended line
+    assert f"data error: line {line}: {paths[bad]}: not UTF-8 text" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -5,7 +5,9 @@ and gammaln, a brute-force likelihood grid, quadrature of the gamma density,
 and inverse-CDF Pareto sampling.
 """
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -209,13 +211,13 @@ def test_tail_probability_matches_quadrature():
 
 def test_zipf_ranks_sorted_descending():
     ranked = dist.zipf_ranks([0.2, 1.5, 0.9])
-    assert ranked == [(1, 1.5), (2, 0.9), (3, 0.2)]
+    assert ranked.tolist() == [1.5, 0.9, 0.2]
     with pytest.raises(errors.EmptySample):
         dist.zipf_ranks([])
 
 
 def test_zipf_exact_power_law():
-    ranked = [(r, 3.0 * r ** -0.4) for r in range(1, 101)]
+    ranked = [3.0 * r ** -0.4 for r in range(1, 101)]
     fit = dist.fit_zipf_exponent(ranked)
     assert fit.zeta == pytest.approx(0.4, abs=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -225,7 +227,7 @@ def test_zipf_exact_power_law():
 
 def test_zipf_window_restricts_fit():
     # power law only beyond rank 10; the window isolates it
-    ranked = [(r, 5.0 if r <= 10 else 5.0 * (r / 10.0) ** -0.7)
+    ranked = [5.0 if r <= 10 else 5.0 * (r / 10.0) ** -0.7
               for r in range(1, 201)]
     fit = dist.fit_zipf_exponent(ranked, rank_window=(11, 200))
     assert fit.zeta == pytest.approx(0.7, abs=1e-10)
@@ -244,17 +246,28 @@ def test_zipf_pareto_tail_recovery():
 
 
 def test_zipf_guards():
-    flat = [(r, 1.0) for r in range(1, 20)]
+    flat = [1.0] * 19
     with pytest.raises(errors.DegenerateSample):
         dist.fit_zipf_exponent(flat)
-    with_zero = [(1, 2.0), (2, 1.0), (3, 0.0)]
+    with_zero = [2.0, 1.0, 0.0]
     with pytest.raises(errors.NonPositiveInWindow):
         dist.fit_zipf_exponent(with_zero)
     with pytest.raises(errors.WindowTooSmall):
-        dist.fit_zipf_exponent([(1, 2.0), (2, 1.0)], rank_window=(1, 2))
+        dist.fit_zipf_exponent([2.0, 1.0], rank_window=(1, 2))
     with pytest.raises(ValueError):
-        dist.fit_zipf_exponent([(1, 2.0), (2, 1.0), (3, 0.5)],
-                               rank_window=(3, 1))
+        dist.fit_zipf_exponent([2.0, 1.0, 0.5], rank_window=(3, 1))
+
+
+def test_zipf_input_form():
+    # NaN has no place in a descending order; inf is rejected with it
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(errors.NonFiniteValue):
+            dist.zipf_ranks([1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="1-d"):
+        dist.zipf_ranks([[1.0, 2.0], [3.0, 4.0]])
+    # (rank, value) pairs are not read as a two-column array
+    with pytest.raises(ValueError, match="values in rank order"):
+        dist.fit_zipf_exponent([(r, 3.0 * r ** -0.4) for r in range(1, 11)])
 
 
 # ------------------------------------------------------------------- stats
@@ -292,13 +305,16 @@ def test_ranks_csv_and_fit_dicts(tmp_path):
     ranked = dist.zipf_ranks([3.0, 1.0, 2.0])
     out = tmp_path / "ranks.csv"
     dist.write_ranks_csv(ranked, out)
-    assert out.read_text().splitlines()[0] == "rank,value"
+    assert out.read_text().splitlines() == ["rank,value", "1,3.0", "2,2.0",
+                                            "3,1.0"]
 
+    # the CLI writes the fits as dataclasses.asdict; json writes a tuple as
+    # a list, so the JSON is that of the dicts the fits were written as
     gfit = dist.GammaFit(k=2.0, r_c=0.3, log_likelihood=-1.0, n=10)
-    assert dist.gamma_fit_dict(gfit) == {
-        "k": 2.0, "r_c": 0.3, "log_likelihood": -1.0, "n": 10}
+    assert json.dumps(asdict(gfit), sort_keys=True) == json.dumps({
+        "k": 2.0, "r_c": 0.3, "log_likelihood": -1.0, "n": 10}, sort_keys=True)
     zfit = dist.ZipfFit(zeta=0.4, rank_window=(1, 10), r_squared=0.9,
                         implied_pdf_exponent=3.5)
-    assert dist.zipf_fit_dict(zfit) == {
+    assert json.dumps(asdict(zfit), sort_keys=True) == json.dumps({
         "zeta": 0.4, "rank_window": [1, 10], "r_squared": 0.9,
-        "implied_pdf_exponent": 3.5}
+        "implied_pdf_exponent": 3.5}, sort_keys=True)

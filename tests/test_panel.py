@@ -740,7 +740,7 @@ def test_non_utf8_input_is_malformed(tmp_path):
     d.write_text(DEFLATOR_TEXT)
     with pytest.raises(errors.MalformedRow, match="not UTF-8") as exc:
         panel.ingest_csv(p, d)
-    assert str(p) in str(exc.value) and exc.value.line is None
+    assert str(p) in str(exc.value) and exc.value.line == 4
     d.write_bytes(DEFLATOR_TEXT.replace("0.95", "0.9\xff").encode("latin-1"))
     with pytest.raises(errors.MalformedRow, match="not UTF-8") as exc:
         panel.ingest_csv(tmp_path / "unread.csv", d)
@@ -753,3 +753,33 @@ def test_non_utf8_input_is_malformed(tmp_path):
     d.write_text(DEFLATOR_TEXT)
     with pytest.raises(errors.DuplicateKey, match="line 3"):
         panel.ingest_csv(p, d)
+
+
+_ROW = "AAA,2000,1e9,1e8,1e3,LOW"
+_BAD_ROW = "BB\xff,2000,1e9,1e8,1e3,LOW"
+
+
+@pytest.mark.parametrize("panel_lines, deflator_text, error, line", [
+    pytest.param([PANEL_HEADER, _ROW, _ROW, _BAD_ROW], DEFLATOR_TEXT,
+                 errors.DuplicateKey, 3, id="duplicate-before-bad-byte"),
+    pytest.param([PANEL_HEADER, _ROW, _BAD_ROW], DEFLATOR_TEXT,
+                 errors.MalformedRow, 3, id="data-line"),
+    pytest.param([PANEL_HEADER, "# comment \xff", _ROW], DEFLATOR_TEXT,
+                 errors.MalformedRow, 2, id="comment-line"),
+    pytest.param([PANEL_HEADER + "\xff", _ROW], DEFLATOR_TEXT,
+                 errors.MalformedRow, 1, id="header-line"),
+    pytest.param([PANEL_HEADER, _ROW], DEFLATOR_TEXT.replace("0.95", "0.9\xff"),
+                 errors.MalformedRow, 2, id="deflator"),
+])
+def test_bad_byte_names_its_line(tmp_path, panel_lines, deflator_text, error,
+                                 line):
+    # the first fault in line order wins, a byte that is not UTF-8 included
+    p, d = tmp_path / "panel.csv", tmp_path / "deflator.csv"
+    p.write_bytes("\n".join([*panel_lines, ""]).encode("latin-1"))
+    d.write_bytes(deflator_text.encode("latin-1"))
+    with pytest.raises(error, match=f"^line {line}: ") as exc:
+        panel.ingest_csv(p, d)
+    assert exc.value.line == line
+    if error is errors.MalformedRow:
+        bad = d if "\xff" in deflator_text else p
+        assert str(exc.value) == f"line {line}: {bad}: not UTF-8 text"

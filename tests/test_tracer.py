@@ -38,7 +38,8 @@ def test_tracer_targets_exist_and_are_restored():
 
 
 def test_tracer_sees_dist_writers_under_cli_dist(tmp_path):
-    # the writers are looked up when dist runs, not bound before install
+    # the Zipf functions and the writers are looked up when dist runs, not
+    # bound before install
     from debtkit import cli
 
     panel = tmp_path / "panel.csv"
@@ -57,7 +58,9 @@ def test_tracer_sees_dist_writers_under_cli_dist(tmp_path):
     finally:
         recorder.uninstall()
     spans = recorder.take()
-    for writer in ("distributions.write_ranks_csv",
-                   "distributions.write_histogram_csv"):
-        parents = [spans[span[0]][1] for span in spans if span[1] == writer]
-        assert parents == ["cli.dist", "cli.dist"], writer
+    # a CLI that called around these names would zero their benchmark spans
+    for name in ("distributions.zipf_ranks", "distributions.fit_zipf_exponent",
+                 "distributions.write_ranks_csv",
+                 "distributions.write_histogram_csv"):
+        parents = [spans[span[0]][1] for span in spans if span[1] == name]
+        assert parents == ["cli.dist", "cli.dist"], name
