@@ -27,7 +27,8 @@ from .panel import MAX_YEAR_SPAN, IncomeGroup, PanelColumns, write_table
 
 BLOWUP_THRESHOLD = 1e12
 UNDERFLOW_THRESHOLD = 1e-12
-# most Euler steps or budget years one call may ask for
+# most Euler steps or budget years one call may ask for, and most
+# country-years a synthetic panel may evolve
 MAX_STEPS = 10_000_000
 
 
@@ -202,6 +203,9 @@ def synthetic_convergent_panel(
     if year_list[-1] - year_list[0] >= MAX_YEAR_SPAN:
         raise ValueError(f"years span more than {MAX_YEAR_SPAN} years from "
                          "first to last")
+    if n_countries * (year_list[-1] - year_list[0] + 1) > MAX_STEPS:
+        raise ValueError(f"more than {MAX_STEPS} country-years from the first "
+                         "to the last year")
     # evolution is annual, so the per-step factor (1 - beta) must stay positive
     if beta >= 1.0:
         raise InvalidBeta(f"beta = {beta!r} >= 1; yearly slope would cross zero")
@@ -216,14 +220,7 @@ def synthetic_convergent_panel(
     codes = [_country_code(i) for i in range(n_countries)]
     # static income labels by initial-debt tercile
     order = np.argsort(np.argsort(log_d))
-    groups = []
-    for rank in order:
-        if rank < n_countries / 3:
-            groups.append(IncomeGroup.LOW)
-        elif rank < 2 * n_countries / 3:
-            groups.append(IncomeGroup.MEDIUM)
-        else:
-            groups.append(IncomeGroup.HIGH)
+    groups = np.array(list(IncomeGroup), dtype=object)[3 * order // n_countries]
     wanted = set(year_list)
     d_parts = []
     # values that overflow stay inf or NaN, which the panel row rules reject
@@ -241,7 +238,7 @@ def synthetic_convergent_panel(
         country_code=np.array(codes * len(year_list), dtype=object),
         year=np.repeat(np.array(year_list, dtype=np.int64), n_countries),
         d=d, g=g, ratio_R=ratio_R,
-        income_group=np.array(groups * len(year_list), dtype=object))
+        income_group=np.tile(groups, len(year_list)))
 
 
 def write_simpath_csv(path_result: SimPath, path,

@@ -185,11 +185,11 @@ def read_table(path: "str | Path", header: list[str], types: tuple):
     """Yield (line_no, fields) per data row, skipping blank and # lines.
 
     The first row must match header once trimmed, every later row must have
-    as many fields, and field i is converted by types[i]. A fault, such as
-    a byte that is not UTF-8 on any line, raises MalformedRow naming its
-    1-based line.
+    as many fields, and field i is converted by types[i]. A leading UTF-8
+    byte-order mark is dropped. A fault, such as a byte that is not UTF-8
+    on any line, raises MalformedRow naming its 1-based line.
     """
-    with open(path, newline="", encoding="utf-8",
+    with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as f:
         rows = ((n, _split(n, line)) for n, line in _lines(path, f)
                 if line.strip() and not line.strip().startswith("#"))
@@ -235,7 +235,7 @@ def _ingest_columns(path: "str | Path",
 
     code, year, group, amounts = [], [], [], []
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             lines = (line for line in f
                      if line.strip() and not line.strip().startswith("#"))
             header = next(csv.reader(islice(lines, 1)), [])

@@ -13,18 +13,14 @@ S = 1 - beta*dt. beta > 0 means initially small values grow faster
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateX,
-    EmptyCrossSection,
-    NonPositiveValue,
-    TooFewCountries,
-    TooFewPoints,
-)
+from .errors import DegenerateX, NonPositiveValue, TooFewCountries, TooFewPoints
 # cross_section is not called here, but perfbench/tracer.py wraps
 # regress.cross_section by name
 from .panel import (PanelColumns, Variable, YearMatrix, as_variable,
@@ -161,9 +157,10 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
                   r2_min: float = 0.0) -> SlopeSurface:
     """One ConvergenceFit per (t in t_list, 1 <= dt <= dt_max) with enough data.
 
-    Fits with r_squared below r2_min are dropped and counted; grid cells
-    with too little data are skipped and counted. Entry order follows the
-    grid order (t outer, dt inner), never completion order.
+    Fits with r_squared below r2_min are dropped and counted. Only cells
+    whose years are both panel years are fitted; every other grid cell, and
+    a fitted one with too few countries, is skipped and counted. Entry order
+    follows the grid order (t outer, dt inner), never completion order.
     """
     if not t_list:
         raise ValueError("t_list must be nonempty")
@@ -171,22 +168,18 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
         raise ValueError(f"dt_max must be >= 1, got {dt_max}")
     variable = as_variable(variable)
     matrix = year_matrix(obs, variable)
-    entries: list[ConvergenceFit] = []
-    n_dropped = 0
-    n_skipped = 0
+    years = list(matrix.columns)  # ascending
+    fits: list[ConvergenceFit] = []
     for t in t_list:
-        for dt in range(1, dt_max + 1):
-            try:
-                fit = _fit_cell(matrix, variable, t, dt)
-            except (TooFewCountries, EmptyCrossSection):
-                n_skipped += 1
-                continue
-            if fit.r_squared < r2_min:
-                n_dropped += 1
-                continue
-            entries.append(fit)
-    return SlopeSurface(variable=variable, entries=tuple(entries),
-                        r2_min=r2_min, n_dropped=n_dropped, n_skipped=n_skipped)
+        if t in matrix.columns:
+            for end in years[bisect_right(years, t):
+                             bisect_right(years, t + dt_max)]:
+                with suppress(TooFewCountries):
+                    fits.append(_fit_cell(matrix, variable, t, end - t))
+    entries = tuple(fit for fit in fits if not fit.r_squared < r2_min)
+    return SlopeSurface(variable=variable, entries=entries, r2_min=r2_min,
+                        n_dropped=len(fits) - len(entries),
+                        n_skipped=len(t_list) * dt_max - len(fits))
 
 
 def write_surface_csv(surface: SlopeSurface, path,

@@ -7,10 +7,11 @@ on log d, matching the power-law form above.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyCrossSection, TooFewCountries
+from .errors import TooFewCountries
 # cross_section and ols are not called here, but perfbench/tracer.py wraps
 # scaling.cross_section and scaling.ols by name
 from .panel import (PanelColumns, Variable, YearMatrix, cross_section,
@@ -60,11 +61,9 @@ def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
         raise ValueError("years must be nonempty")
     d, g = _d_and_g(obs)
     fits = []
-    for year in years:
-        try:
+    for year in (year for year in years if year in d.columns):
+        with suppress(TooFewCountries):
             fits.append(_fit_year(d, g, year))
-        except (TooFewCountries, EmptyCrossSection):
-            continue
     return fits
 
 

@@ -142,9 +142,18 @@ def test_dist_group_of_zero_debt_is_a_note(tmp_path, capsys):
         ("zipf_R", "csv"), ("zipf_fit", "json"), ("gamma_fit", "json"))}
         for suffix in ("", "_medium", "_high")}
     assert names == set().union(*sets.values())
+    # with no LOW rows at all the group is empty, and the note says so
+    panel_path, deflator_path = _write_panel(
+        tmp_path, [row for row in rows if not row.endswith(",LOW")])
+    out = tmp_path / "dist_no_low"
+    assert cli.main(["dist", "--panel", panel_path, "--deflator", deflator_path,
+                     "--out", str(out), "--group", "all"]) == 0
+    assert ("note: income group LOW is empty; *_low files omitted"
+            in capsys.readouterr().err)
+    assert {f.name for f in out.iterdir()} == names
 
 
-def test_scaling_output(tmp_path):
+def test_scaling_output(tmp_path, capsys):
     panel_path, deflator_path = _synth(tmp_path)
     out = tmp_path / "scl"
     rc = cli.main(["scaling", "--panel", panel_path,
@@ -157,6 +166,14 @@ def test_scaling_output(tmp_path):
     for line in lines[2:]:
         fields = line.split(",")
         assert float(fields[1]) == pytest.approx(0.9, abs=1e-10)
+    # requested years the panel lacks are skipped, and the note names them
+    assert cli.main(["scaling", "--panel", panel_path, "--deflator",
+                     deflator_path, "--out", str(tmp_path / "scl2"),
+                     "--years", "1988:1991,3000"]) == 0
+    captured = capsys.readouterr()
+    assert "gamma_trend.csv (2 years)" in captured.out
+    assert ("note: skipped years without enough data: 1988,1989,3000"
+            in captured.err)
 
 
 def test_simulate_outputs(tmp_path):
@@ -342,6 +359,11 @@ def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "o"), "--n-countries",
                      "3", "--years", "0,10000"]) == 1
     assert "10000 years" in capsys.readouterr().err
+    # each flag is within its own cap, but not their product of country-years
+    for n_countries, years in (("17576", "0:9999"), ("1001", "1:10000")):
+        assert cli.main(["synth", "--out", str(tmp_path / "o"), "--n-countries",
+                         n_countries, "--years", years]) == 1
+        assert "more than 10000000 country-years" in capsys.readouterr().err
     for population in ("nan", "inf", "0"):
         assert cli.main(["synth", "--out", str(tmp_path / "o"), "--years",
                          "2000:2001", "--population", population]) == 1
@@ -443,6 +465,21 @@ def test_non_utf8_input_exits_two(tmp_path, small_panel, capsys, bad):
     line = {"panel": 10, "deflator": 4}[bad]  # the appended line
     assert f"data error: line {line}: {paths[bad]}: not UTF-8 text" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bom", ["panel", "deflator"])
+def test_bom_input_reads_as_without(tmp_path, small_panel, capsys, bom):
+    # a leading UTF-8 byte-order mark, as spreadsheet tools write, is dropped
+    paths = dict(zip(["panel", "deflator"], small_panel))
+    plain = tmp_path / "plain"
+    argv = ["threshold", "--panel", paths["panel"], "--deflator",
+            paths["deflator"]]
+    assert cli.main([*argv, "--out", str(plain)]) == 0
+    path = tmp_path / f"{bom}.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    for f in plain.iterdir():
+        assert (tmp_path / "o" / f.name).read_bytes() == f.read_bytes()
 
 
 def test_synth_overflowing_rows_exit_two(tmp_path, capsys):

@@ -185,6 +185,17 @@ def test_gamma_mle_guards():
         dist.fit_gamma_mle([3.0, 3.0, 3.0])  # zero variance
 
 
+def test_gamma_mle_no_convergence_names_last_iterate(monkeypatch):
+    # one Newton step cannot meet the tolerance from the moment start
+    monkeypatch.setattr(dist, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(errors.NoConvergence) as info:
+        dist.fit_gamma_mle([0.5, 1.0, 4.0, 9.0])
+    k = info.value.last_iterate
+    assert math.isfinite(k) and k > 0
+    assert str(info.value) == ("gamma shape Newton iteration did not converge "
+                               f"(last iterate {k!r})")
+
+
 def test_tail_probability_closed_form():
     # integer shape k=2: P(X > x) = (1 + x/r_c) exp(-x/r_c)
     fit = dist.GammaFit(k=2.0, r_c=0.30, log_likelihood=0.0, n=1)

@@ -351,3 +351,8 @@ def test_synthetic_panel_guards():
         dynamics.synthetic_convergent_panel(
             n_countries=3, years=[0, 10_000], alpha=0.0, beta=0.0, sigma=0.1,
             seed=0)
+    # country-years over MAX_STEPS are refused before any is generated
+    with pytest.raises(ValueError, match="more than 10000000 country-years"):
+        dynamics.synthetic_convergent_panel(
+            n_countries=26 ** 3, years=[0, 9_999], alpha=0.0, beta=0.0,
+            sigma=0.1, seed=0)

@@ -161,6 +161,11 @@ def test_negative_debt_rejected(tmp_path):
 def test_duplicate_country_year_rejected(tmp_path):
     with pytest.raises(errors.DuplicateKey, match="line 3"):
         _ingest_variant(tmp_path, "USA,2000,2e9,1e8,1000.0,HIGH")
+    text = "\n".join([DEFLATOR_HEADER, "2000,1.0", "2000,1.0", ""])
+    with pytest.raises(errors.DuplicateKey,
+                       match="^line 3: duplicate deflator year 2000$"):
+        _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0,LOW",
+                        deflator_text=text)
 
 
 def test_missing_deflator_year_rejected(tmp_path):
@@ -783,3 +788,40 @@ def test_bad_byte_names_its_line(tmp_path, panel_lines, deflator_text, error,
     if error is errors.MalformedRow:
         bad = d if "\xff" in deflator_text else p
         assert str(exc.value) == f"line {line}: {bad}: not UTF-8 text"
+
+
+# ------------------------------------------------------ byte-order mark
+
+_BOM = "\ufeff"  # the UTF-8 byte-order mark, EF BB BF on disk
+
+
+def test_leading_bom_is_ignored(paths, tmp_path):
+    p, d = paths
+    deflator = panel._parse_deflator_csv(d)
+    bom_p, bom_d = tmp_path / "bom_panel.csv", tmp_path / "bom_deflator.csv"
+    bom_d.write_text(_BOM + DEFLATOR_TEXT, encoding="utf-8")
+    assert panel._parse_deflator_csv(bom_d) == deflator
+    expected = _column_bits(panel._ingest_rows(p, deflator))
+    # the columnar pass reads the plain panel; a quote sends it to the rows
+    for text, columnar in ((PANEL_TEXT, True),
+                           (PANEL_TEXT.replace(",HIGH", ',"HIGH"'), False)):
+        bom_p.write_text(_BOM + text, encoding="utf-8")
+        columns = panel._ingest_columns(bom_p, deflator)
+        assert (columns is not None) == columnar
+        if columnar:
+            assert _column_bits(columns) == expected
+        assert _column_bits(panel._ingest_rows(bom_p, deflator)) == expected
+        assert _column_bits(panel.ingest_csv(bom_p, bom_d).records) == expected
+
+
+def test_bom_past_the_first_character_is_content(tmp_path):
+    p, d = tmp_path / "panel.csv", tmp_path / "deflator.csv"
+    d.write_text(DEFLATOR_TEXT, encoding="utf-8")
+    for text, message in (
+            (_BOM * 2 + PANEL_TEXT, "line 1: .*expected header"),
+            ("# stamp\n" + _BOM + PANEL_TEXT, "line 2: .*expected header"),
+            (PANEL_TEXT.replace("BRA,2001", _BOM + "BRA,2001"),
+             "line 5: .*3-letter")):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(errors.MalformedRow, match=message):
+            panel.ingest_csv(p, d)

@@ -100,6 +100,9 @@ def test_ols_guards():
         regress.ols([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(errors.DegenerateX):
         regress.ols([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    for x, y in (([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0, 3.0]],) * 2):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            regress.ols(x, y)
     fit = regress.ols([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
     assert fit.slope == 0.0
     assert fit.r_squared == 0.0
@@ -197,6 +200,39 @@ def test_slope_surface_grid_order_and_counts():
     # noiseless constant-S panel: S(dt) = s**dt, linear in log, exact
     for e in surface.entries:
         assert e.S == pytest.approx(0.95 ** e.dt, abs=1e-12)
+
+
+def test_slope_surface_guards():
+    obs = panel.PanelColumns.from_rows(
+        _noiseless_panel(0.1, 0.9, [2000, 2001], [0.5, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="t_list must be nonempty"):
+        regress.slope_surface(obs, "d", [], 1)
+    with pytest.raises(ValueError, match="dt_max must be >= 1, got 0"):
+        regress.slope_surface(obs, "d", [2000], 0)
+
+
+def test_slope_surface_fits_only_panel_year_pairs(monkeypatch):
+    years = [2000, 2001, 2003, 2010]
+    rows = _noiseless_panel(0.1, 0.95, years, [0.5, 1.0, 2.0, 4.0])
+    # 2010 has two countries only, so every pair ending there is too thin
+    rows = [row for row in rows if row[1] != 2010 or row[0] in ("AAA", "BBB")]
+    obs = panel.PanelColumns.from_rows(rows)
+    calls = []
+    fit_cell = regress._fit_cell
+
+    def counted(matrix, variable, t, dt):
+        calls.append((t, dt))
+        return fit_cell(matrix, variable, t, dt)
+
+    monkeypatch.setattr(regress, "_fit_cell", counted)
+    t_list = list(range(-7995, 2005))  # 10,000 initial years
+    surface = regress.slope_surface(obs, "d", t_list, 10_000)
+    pairs = [(t, end - t) for t in years for end in years if t < end]
+    assert len(calls) <= len(pairs)
+    assert [(e.t, e.dt) for e in surface.entries] == [
+        (2000, 1), (2000, 3), (2001, 2)]
+    fits = len(surface.entries) + surface.n_dropped
+    assert surface.n_skipped == 10 ** 8 - fits
 
 
 def test_slope_surface_r2_filter_drops_noisy_cells():
