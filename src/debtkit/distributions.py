@@ -4,6 +4,10 @@ Covers histogram probability densities, maximum-likelihood fits of the
 two-parameter Gamma density p(x) ~ x**(k-1) * exp(-x/r_c), Zipf
 rank-frequency exponents, and the duality between the Zipf exponent zeta
 and the pdf tail exponent 1 + 1/zeta.
+
+scipy is used only for ``gammaincc`` in ``GammaFit.tail_probability``,
+which the ``threshold`` subcommand calls. It is imported on that first
+call, so ``import debtkit`` and the other subcommands never load it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import (
     DegenerateSample,
@@ -56,9 +59,16 @@ class GammaFit:
     n: int
 
     def tail_probability(self, threshold: float) -> float:
-        """P(X > threshold) under the fitted Gamma (regularized upper tail)."""
+        """P(X > threshold) under the fitted Gamma (regularized upper tail).
+
+        A threshold <= 0 gives 1.0 and +inf gives 0.0; NaN is rejected.
+        """
+        if math.isnan(threshold):
+            raise NonFiniteValue("threshold must not be NaN")
         if threshold <= 0:
             return 1.0
+        # local: scipy.special is most of start-up, and only threshold needs it
+        from scipy.special import gammaincc
         return float(gammaincc(self.k, threshold / self.r_c))
 
 
