@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (DuplicateKey, EmptyCrossSection, MalformedRow,
-                     MissingDeflator, NonPositive)
+                     MissingDeflator, NonFiniteValue, NonPositive)
 
 PANEL_HEADER = ["country_code", "year", "gdp_nominal_usd", "debt_nominal_usd",
                 "population", "income_group"]
@@ -310,16 +310,27 @@ def normalize(panel: Panel) -> PanelColumns:
 
     d and g come out in thousands of base-year USD per person; ratio_R is
     taken from the nominal amounts (the deflator and population cancel).
+    A quotient that overflows raises NonFiniteValue naming the first
+    country and year whose d, g or R is not finite.
     """
     rec = panel.records
     deflator = np.array([panel.deflator.value(year)
                          for year in rec.year.tolist()], dtype=float)
     with np.errstate(over="ignore"):  # inf, as Python float division gives
-        return PanelColumns(
+        obs = PanelColumns(
             rec.country_code, rec.year,
             rec.debt_nominal / deflator / rec.population / _THOUSAND,
             rec.gdp_nominal / deflator / rec.population / _THOUSAND,
             rec.debt_nominal / rec.gdp_nominal, rec.income_group)
+    columns = {"d": obs.d, "g": obs.g, "R": obs.ratio_R}
+    finite = {name: np.isfinite(column) for name, column in columns.items()}
+    every = finite["d"] & finite["g"] & finite["R"]
+    if not every.all():
+        i = int(np.argmin(every))  # the first row with a value not finite
+        name = next(name for name, ok in finite.items() if not ok[i])
+        raise NonFiniteValue(f"{obs.country_code[i]} {obs.year[i]}: {name} "
+                             f"is not finite ({float(columns[name][i])!r})")
+    return obs
 
 
 _ATTRIBUTES = {Variable.DEBT_PER_CAPITA: "d", Variable.GDP_PER_CAPITA: "g",

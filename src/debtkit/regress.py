@@ -8,6 +8,11 @@ its value at year t,
 whose slope S maps to a per-year convergence speed beta through
 S = 1 - beta*dt. beta > 0 means initially small values grow faster
 (convergence); beta < 0 means divergence. All logarithms are natural.
+
+slope_surface takes the log of its country x year matrix once, over the
+cells that are present and > 0, and each (t, dt) cell fits the rows usable
+at both ends through ols, whose means are one add-reduce each. The bits
+equal those of logging each cell's own rows and of np.mean.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import numpy as np
 from .errors import DegenerateX, NonPositiveValue, TooFewCountries, TooFewPoints
 # cross_section is not called here, but perfbench/tracer.py wraps
 # regress.cross_section by name
-from .panel import (PanelColumns, Variable, YearMatrix, as_variable,
-                    cross_section, write_table, year_matrix)
+from .panel import (PanelColumns, Variable, as_variable, cross_section,
+                    write_table, year_matrix)
 
 SURFACE_CSV_HEADER = ["variable", "t", "dt", "S", "beta", "alpha",
                       "r_squared", "n_countries"]
@@ -81,7 +86,12 @@ class SlopeSurface:
 
 
 def ols(x: Sequence[float], y: Sequence[float]) -> OlsFit:
-    """Least squares of y on x via mean-centered normal equations."""
+    """Least squares of y on x via mean-centered normal equations.
+
+    Each mean is taken once, as np.add.reduce(v) / n: the sum and division
+    that np.mean makes of a 1-d float64 array, so the bits are np.mean's
+    without its wrapper.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -89,13 +99,15 @@ def ols(x: Sequence[float], y: Sequence[float]) -> OlsFit:
     n = x.size
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    x_mean = np.add.reduce(x) / n
+    y_mean = np.add.reduce(y) / n
+    xc = x - x_mean
+    yc = y - y_mean
     s_xx = float(xc @ xc)
     if s_xx == 0.0:
         raise DegenerateX("x has zero variance")
     slope = float(xc @ yc) / s_xx
-    intercept = float(y.mean() - slope * x.mean())
+    intercept = float(y_mean - slope * x_mean)
     ss_tot = float(yc @ yc)
     if ss_tot == 0.0:
         return OlsFit(slope=slope, intercept=intercept, r_squared=0.0, n=n,
@@ -116,25 +128,35 @@ def growth_rate(v_start: float, v_end: float, dt: float) -> float:
     return math.log(v_end / v_start) / dt
 
 
+def _log_columns(values: np.ndarray, present: np.ndarray):
+    """(logs, positive, present) of a YearMatrix's values and present, one
+    column or all: positive marks the cells present and > 0, and logs holds
+    their natural log and 0 elsewhere, with no numpy warning for those."""
+    positive = present & (values > 0)
+    return (np.log(values, out=np.zeros_like(values), where=positive),
+            positive, present)
+
+
 def _log_log_fit(x_column, y_column, label: str) -> tuple[OlsFit, int]:
-    """OLS of log y on log x over rows present and > 0 in both (values,
-    present) columns; also counts the rows present in either but left out."""
-    (x, x_present), (y, y_present) = x_column, y_column
-    usable = x_present & y_present & (x > 0) & (y > 0)
+    """OLS of log y on log x over the rows positive in both _log_columns;
+    also counts the rows present in either but left out."""
+    (x_log, x_positive, x_present), (y_log, y_positive, y_present) = (
+        x_column, y_column)
+    usable = x_positive & y_positive
     n_usable = int(np.count_nonzero(usable))
     if n_usable < 3:
         raise TooFewCountries(
             f"{n_usable} countries with positive {label}; need >= 3")
-    return (ols(np.log(x[usable]), np.log(y[usable])),
+    return (ols(x_log[usable], y_log[usable]),
             int(np.count_nonzero(x_present | y_present)) - n_usable)
 
 
-def _fit_cell(matrix: YearMatrix, variable: Variable, t: int,
-              dt: int) -> ConvergenceFit:
-    """Regress log v(t+dt) on log v(t) over the rows positive at both ends."""
+def _fit_cell(variable: Variable, t: int, dt: int, start,
+              end) -> ConvergenceFit:
+    """Regress log v(t+dt) on log v(t) over the rows positive at both ends;
+    start and end are the _log_columns of years t and t + dt."""
     fit, n_excluded = _log_log_fit(
-        matrix.column(t), matrix.column(t + dt),
-        f"{variable.value} at both {t} and {t + dt}")
+        start, end, f"{variable.value} at both {t} and {t + dt}")
     return ConvergenceFit(variable=variable, t=t, dt=dt, S=fit.slope,
                           beta=(1.0 - fit.slope) / dt, alpha=fit.intercept / dt,
                           r_squared=fit.r_squared, n_countries=fit.n,
@@ -149,7 +171,9 @@ def convergence_regression(obs: PanelColumns, variable: "Variable | str",
     either endpoint, are excluded and counted in n_excluded.
     """
     variable = as_variable(variable)
-    return _fit_cell(year_matrix(obs, variable), variable, t, dt)
+    matrix = year_matrix(obs, variable)
+    return _fit_cell(variable, t, dt, _log_columns(*matrix.column(t)),
+                     _log_columns(*matrix.column(t + dt)))
 
 
 def slope_surface(obs: PanelColumns, variable: "Variable | str",
@@ -168,14 +192,18 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
         raise ValueError(f"dt_max must be >= 1, got {dt_max}")
     variable = as_variable(variable)
     matrix = year_matrix(obs, variable)
-    years = list(matrix.columns)  # ascending
+    years = list(matrix.columns)  # ascending, so year years[j] is column j
+    logs, positive, present = _log_columns(matrix.values, matrix.present)
+    # per year, as year_matrix is column-major, three contiguous columns
+    columns = list(zip(logs.T, positive.T, present.T))
     fits: list[ConvergenceFit] = []
     for t in t_list:
-        if t in matrix.columns:
-            for end in years[bisect_right(years, t):
-                             bisect_right(years, t + dt_max)]:
+        j = matrix.columns.get(t)
+        if j is not None:
+            for k in range(j + 1, bisect_right(years, t + dt_max)):
                 with suppress(TooFewCountries):
-                    fits.append(_fit_cell(matrix, variable, t, end - t))
+                    fits.append(_fit_cell(variable, t, years[k] - t,
+                                          columns[j], columns[k]))
     entries = tuple(fit for fit in fits if not fit.r_squared < r2_min)
     return SlopeSurface(variable=variable, entries=entries, r2_min=r2_min,
                         n_dropped=len(fits) - len(entries),

@@ -16,7 +16,7 @@ from .errors import TooFewCountries
 # scaling.cross_section and scaling.ols by name
 from .panel import (PanelColumns, Variable, YearMatrix, cross_section,
                     write_table, year_matrix)
-from .regress import _log_log_fit, ols
+from .regress import _log_columns, _log_log_fit, ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
 
@@ -35,7 +35,8 @@ class ScalingFit:
 
 def _fit_year(d: YearMatrix, g: YearMatrix, year: int) -> ScalingFit:
     """OLS of log g on log d over the rows with positive d and g in year."""
-    fit, n_excluded = _log_log_fit(d.column(year), g.column(year),
+    fit, n_excluded = _log_log_fit(_log_columns(*d.column(year)),
+                                   _log_columns(*g.column(year)),
                                    f"d and g in {year}")
     return ScalingFit(year=year, gamma=fit.slope, log_A=fit.intercept,
                       r_squared=fit.r_squared, n_countries=fit.n,

@@ -567,3 +567,28 @@ def test_failed_fit_leaves_no_out_dir(tmp_path, capsys, command, debt, code,
     assert rc == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "dist", "scaling", "threshold"])
+@pytest.mark.parametrize("row, message", [
+    # population 1e-300: debt and GDP per person overflow to inf
+    ("AAA,2001,3e9,2e8,1e-300,HIGH", "AAA 2001: d is not finite (inf)"),
+    # d and g stay finite, but debt over GDP overflows
+    ("AAA,2001,1e-20,1e300,1e6,HIGH", "AAA 2001: R is not finite (inf)"),
+])
+def test_overflowing_per_capita_value_exits_two(tmp_path, capsys, command,
+                                                 row, message):
+    rows = [f"{c}{c}{c},{year},{i * (year - 1990)}e8,{i}e8,1e6,HIGH"
+            for i, c in enumerate("BCDEF", start=2)
+            for year in (2000, 2001, 2002)]
+    rows += [f"AAA,{year},3e9,1e8,1e6,HIGH" for year in (2000, 2002)] + [row]
+    panel_path, deflator_path = _write_panel(tmp_path, rows,
+                                             (2000, 2001, 2002))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--panel", panel_path,
+                       "--deflator", deflator_path, "--out", str(out)])
+    assert rc == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not out.exists()

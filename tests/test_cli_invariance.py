@@ -11,6 +11,9 @@
   byte for byte the same on shuffled rows. `dist` does too, except
   `gamma_fit*.json`: its means, and those in `threshold_summary.json`, sum
   the sample in row order, which moves their last bits.
+* BLAS threads. `converge` and `scaling` fit every cell and year by `ols`,
+  whose means are add-reductions and whose sums of squares are BLAS dot
+  products; they write the same bytes with one BLAS thread and with two.
 
 The bounds are four times the largest change measured on this panel. Over
 every k in [-150, 150], S, beta and gamma moved by at most 6.1e-15 and
@@ -24,6 +27,9 @@ here, so its shape k is large and sensitive to the last bits of the means.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -155,3 +161,27 @@ def test_row_order_leaves_outputs_alone(base, seed, tmp_path_factory):
             _close(a, b, ["tail_probability"], TOL_SHUFFLE, relative=True)
         else:
             assert moved == data, name
+
+
+def test_blas_thread_count_leaves_fits_alone(tmp_path):
+    # each run is its own interpreter: OpenBLAS reads the variable on load
+    assert cli.main(["synth", "--out", str(tmp_path), "--n-countries", "250",
+                     "--years", "1990:2005", "--seed", "5"]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": threads}
+        for command in ("converge", "scaling"):
+            out = tmp_path / f"{command}-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "debtkit.cli", command,
+                 "--panel", str(tmp_path / "panel_synth.csv"),
+                 "--deflator", str(tmp_path / "deflator_synth.csv"),
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120)
+            outputs[threads, command] = {f.name: f.read_bytes()
+                                         for f in sorted(out.iterdir())}
+    for command in ("converge", "scaling"):
+        assert outputs["1", command] == outputs["2", command], command
+    assert len(outputs["1", "converge"]) == 3

@@ -379,13 +379,27 @@ _ANY_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
            _ANY_POSITIVE,
            st.sampled_from(panel.IncomeGroup)), max_size=20),
        deflators=st.tuples(_ANY_POSITIVE, _ANY_POSITIVE))
+@example(records=[("USA", 2000, 2e9, 1e8, 1e6, panel.IncomeGroup.HIGH),
+                  ("BRA", 1999, 1e300, 0.0, 1e-10, panel.IncomeGroup.LOW),
+                  ("JPN", 2000, 1e-20, 1e300, 1.0, panel.IncomeGroup.LOW)],
+         deflators=(1.0, 1.0))
 def test_normalize_columns_bitwise_equal_row_loop(records, deflators):
     deflator = panel.DeflatorSeries(
         values={1999: deflators[0], 2000: 1.0, 2001: deflators[1]})
     pl = panel.Panel(records=panel.RecordColumns.from_rows(records),
                      deflator=deflator)
-    assert _bits(_rows(panel.normalize(pl))) == _bits(
-        _normalize_rows(records, deflator))
+    expected = _normalize_rows(records, deflator)
+    overflow = next(((code, year, name, value) for code, year, *values, _
+                     in expected for name, value in zip("dgR", values)
+                     if not math.isfinite(value)), None)
+    if overflow is None:
+        assert _bits(_rows(panel.normalize(pl))) == _bits(expected)
+    else:  # the first row in input order, and its first value not finite
+        code, year, name, value = overflow
+        with pytest.raises(errors.NonFiniteValue,
+                           match=f"^{code} {year}: {name} is not finite "
+                                 f"\\({value!r}\\)$"):
+            panel.normalize(pl)
 
 
 @dataclass(frozen=True)

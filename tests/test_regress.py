@@ -1,13 +1,20 @@
-"""Convergence regression tests against hand-worked and grid-search oracles."""
+"""Convergence regression tests against hand-worked and grid-search oracles.
 
+The fit path is also held to the earlier one, kept below as a reference:
+ols with np.mean, and each cell logging its own rows. Both must give the
+same bits, or raise the same error with the same message.
+"""
+
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from debtkit import errors, panel, regress
+from debtkit import errors, panel, regress, scaling
 
 
 def _grid_ols_slope(x, y, lo=-5.0, hi=5.0, step=1e-4):
@@ -220,9 +227,9 @@ def test_slope_surface_fits_only_panel_year_pairs(monkeypatch):
     calls = []
     fit_cell = regress._fit_cell
 
-    def counted(matrix, variable, t, dt):
+    def counted(variable, t, dt, start, end):
         calls.append((t, dt))
-        return fit_cell(matrix, variable, t, dt)
+        return fit_cell(variable, t, dt, start, end)
 
     monkeypatch.setattr(regress, "_fit_cell", counted)
     t_list = list(range(-7995, 2005))  # 10,000 initial years
@@ -264,3 +271,171 @@ def test_surface_csv_format(tmp_path):
     assert fields[0] == "d"
     assert int(fields[1]) == 2000
     assert float(fields[3]) == pytest.approx(0.9, abs=1e-12)
+
+
+# ------------------------------------ per-cell logs and np.mean reference
+
+def _ref_ols(x, y):
+    """The earlier ols, which took each mean by np.mean, twice for some."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be 1-d arrays of equal length")
+    n = x.size
+    if n < 3:
+        raise errors.TooFewPoints(f"need at least 3 points, got {n}")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    s_xx = float(xc @ xc)
+    if s_xx == 0.0:
+        raise errors.DegenerateX("x has zero variance")
+    slope = float(xc @ yc) / s_xx
+    intercept = float(y.mean() - slope * x.mean())
+    ss_tot = float(yc @ yc)
+    if ss_tot == 0.0:
+        return regress.OlsFit(slope=slope, intercept=intercept, r_squared=0.0,
+                              n=n, constant_y=True)
+    residual = y - (intercept + slope * x)
+    r_squared = 1.0 - float(residual @ residual) / ss_tot
+    r_squared = min(max(r_squared, 0.0), 1.0)
+    return regress.OlsFit(slope=slope, intercept=intercept,
+                          r_squared=r_squared, n=n)
+
+
+def _ref_log_log_fit(x_column, y_column, label):
+    """The earlier fit of one cell, which logged that cell's own rows."""
+    (x, x_present), (y, y_present) = x_column, y_column
+    usable = x_present & y_present & (x > 0) & (y > 0)
+    n_usable = int(np.count_nonzero(usable))
+    if n_usable < 3:
+        raise errors.TooFewCountries(
+            f"{n_usable} countries with positive {label}; need >= 3")
+    return (_ref_ols(np.log(x[usable]), np.log(y[usable])),
+            int(np.count_nonzero(x_present | y_present)) - n_usable)
+
+
+def _ref_fit_cell(matrix, variable, t, dt):
+    fit, n_excluded = _ref_log_log_fit(
+        matrix.column(t), matrix.column(t + dt),
+        f"{variable.value} at both {t} and {t + dt}")
+    return regress.ConvergenceFit(
+        variable=variable, t=t, dt=dt, S=fit.slope, beta=(1.0 - fit.slope) / dt,
+        alpha=fit.intercept / dt, r_squared=fit.r_squared, n_countries=fit.n,
+        n_excluded=n_excluded)
+
+
+def _ref_convergence_regression(obs, variable, t, dt):
+    return _ref_fit_cell(panel.year_matrix(obs, variable), variable, t, dt)
+
+
+def _ref_slope_surface(obs, variable, t_list, dt_max, r2_min):
+    matrix = panel.year_matrix(obs, variable)
+    fits = []
+    for t in t_list:
+        for end in (y for y in matrix.columns if t in matrix.columns
+                    and t < y <= t + dt_max):
+            try:
+                fits.append(_ref_fit_cell(matrix, variable, t, end - t))
+            except errors.TooFewCountries:
+                pass
+    entries = tuple(fit for fit in fits if not fit.r_squared < r2_min)
+    return regress.SlopeSurface(variable=variable, entries=entries,
+                                r2_min=r2_min,
+                                n_dropped=len(fits) - len(entries),
+                                n_skipped=len(t_list) * dt_max - len(fits))
+
+
+def _ref_gamma_trend(obs, years):
+    d = panel.year_matrix(obs, "d")
+    g = panel.year_matrix(obs, "g")
+    fits = []
+    for year in (year for year in years if year in d.columns):
+        try:
+            fit, n_excluded = _ref_log_log_fit(d.column(year), g.column(year),
+                                               f"d and g in {year}")
+        except errors.TooFewCountries:
+            continue
+        fits.append(scaling.ScalingFit(
+            year=year, gamma=fit.slope, log_A=fit.intercept,
+            r_squared=fit.r_squared, n_countries=fit.n, n_excluded=n_excluded))
+    return fits
+
+
+def _bits(value):
+    """value with each float as its hex, so -0.0 differs from 0.0."""
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            _bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_bits, value))
+    return value.hex() if isinstance(value, float) else value
+
+
+def _outcome(fn, *args):
+    """The bits of fn(*args), or the class and message of what it raised;
+    a numpy warning is raised too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return _bits(fn(*args))
+        except (errors.DebtkitError, ValueError, RuntimeWarning) as exc:
+            return type(exc), str(exc)
+
+
+_YEARS = range(2000, 2006)
+
+
+def _rarely(common, rare):
+    """common, or rare about one draw in eight."""
+    return st.integers(0, 7).flatmap(lambda i: rare if i == 0 else common)
+
+
+# magnitudes from 1e-300 to 1e300; zeros, negatives and repeated values,
+# which leave a column without spread, now and then
+_VALUE = _rarely(
+    st.one_of(st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+                        st.integers(-300, 299)),
+              st.floats(1e-300, 1e300)),
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.0]))
+# a missing country-year is None; country counts on both sides of 8 and 16,
+# numpy's SIMD widths, put the rows that a fit uses there too
+_PANELS = st.sampled_from([1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 24]).flatmap(
+    lambda n: st.lists(st.lists(_rarely(st.tuples(_VALUE, _VALUE, _VALUE),
+                                        st.none()),
+                                min_size=len(_YEARS), max_size=len(_YEARS)),
+                       min_size=n, max_size=n))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(cells=_PANELS,
+       t_list=st.lists(st.sampled_from(range(1999, 2006)), min_size=1,
+                       max_size=6, unique=True),
+       dt_max=st.integers(1, 5), r2_min=st.sampled_from([0.0, 0.5, 0.99]))
+def test_fits_bitwise_equal_per_cell_reference(cells, t_list, dt_max, r2_min):
+    rows = [(f"C{i:02d}", year, *values, panel.IncomeGroup.LOW)
+            for i, country in enumerate(cells)
+            for year, values in zip(_YEARS, country) if values is not None]
+    assume(rows)
+    obs = panel.PanelColumns.from_rows(rows)
+    for variable in panel.Variable:
+        assert _outcome(regress.slope_surface, obs, variable, t_list, dt_max,
+                        r2_min) == _outcome(_ref_slope_surface, obs, variable,
+                                            t_list, dt_max, r2_min)
+        for t in t_list:
+            for dt in range(1, dt_max + 1):
+                assert _outcome(regress.convergence_regression, obs, variable,
+                                t, dt) == _outcome(_ref_convergence_regression,
+                                                   obs, variable, t, dt)
+    assert _outcome(scaling.gamma_trend, obs, t_list) == _outcome(
+        _ref_gamma_trend, obs, t_list)
+
+
+_OLS_COORD = st.one_of(st.sampled_from([0.0, 1.0]),
+                       st.floats(-1e100, 1e100, allow_subnormal=True))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_OLS_COORD, _OLS_COORD), max_size=40))
+def test_ols_bitwise_equal_np_mean_reference(points):
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T.copy()
+    assert _outcome(regress.ols, x, y) == _outcome(_ref_ols, x, y)

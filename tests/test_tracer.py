@@ -6,6 +6,7 @@ benchmark pass fails; some are imported only so that the tracer finds them.
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -64,3 +65,34 @@ def test_tracer_sees_dist_writers_under_cli_dist(tmp_path):
                  "distributions.write_histogram_csv"):
         parents = [spans[span[0]][1] for span in spans if span[1] == name]
         assert parents == ["cli.dist", "cli.dist"], name
+
+
+def test_ols_spans_count_fitted_cells_under_cli_converge(tmp_path, capsys):
+    # regress.ols.calls is the benchmark's count of fitted convergence cells:
+    # every cell with enough countries is fitted by one regress.ols call,
+    # whether or not r2_min drops it
+    from debtkit import cli
+
+    synth = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(synth), "--n-countries", "12",
+                     "--years", "1990:2001", "--seed", "3"]) == 0
+    capsys.readouterr()
+    tracer = _load_tracer()
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        assert cli.main(["converge", "--panel", str(synth / "panel_synth.csv"),
+                         "--deflator", str(synth / "deflator_synth.csv"),
+                         "--out", str(tmp_path / "o"), "--dt-max", "4",
+                         "--r2-min", "0.97"]) == 0
+    finally:
+        recorder.uninstall()
+    spans = recorder.take()
+    # each surface's line reads "(<entries> fits, <n_dropped> below r2_min"
+    counts = [(int(kept), int(dropped)) for kept, dropped in re.findall(
+        r"\((\d+) fits, (\d+) below r2_min", capsys.readouterr().out)]
+    assert len(counts) == 3 and all(dropped for _, dropped in counts)
+    ols_parents = [spans[span[0]][1] for span in spans
+                   if span[1] == "regress.ols"]
+    assert ols_parents == ["regress.slope_surface"] * sum(map(sum, counts))
+    assert tracer.derive(spans)["regress.ols.calls"] == sum(map(sum, counts))
