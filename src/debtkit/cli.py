@@ -241,10 +241,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     n_zero = int((ratio == 0).sum())
     fit = dist.fit_gamma_mle(ratio[ratio > 0])
     rows = []
-    for year in sorted(set(obs.year.tolist())):
-        in_year = obs.year == year
-        above = sorted(obs.country_code[in_year & (ratio > args.threshold)])
-        rows.append((year, int(in_year.sum()), len(above), ";".join(above)))
+    for year, in_year in panel.year_index(obs).rows.items():  # in code order
+        above = obs.country_code[in_year[ratio[in_year] > args.threshold]]
+        rows.append((year, len(in_year), len(above), ";".join(above)))
     summary = {
         "threshold": args.threshold,
         "tail_probability": fit.tail_probability(args.threshold),

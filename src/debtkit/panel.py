@@ -120,6 +120,10 @@ class _Columns:
         return cls(*(np.array(column, dtype=_DTYPES.get(field.name, float))
                      for field, column in zip(fields(cls), columns)))
 
+    def compress(self, mask: np.ndarray):
+        """The rows where mask is true, order kept."""
+        return type(self)(*(column[mask] for column in self.columns()))
+
     def columns(self) -> list[np.ndarray]:
         """The arrays in field order."""
         return [getattr(self, field.name) for field in fields(self)]
@@ -338,64 +342,52 @@ _ATTRIBUTES = {Variable.DEBT_PER_CAPITA: "d", Variable.GDP_PER_CAPITA: "g",
 
 
 @dataclass(frozen=True, eq=False)
-class YearMatrix:
-    """One field as a dense country x year matrix.
+class YearIndex:
+    """Each year's rows of a panel in country-code order, in memory that
+    grows with the rows; a duplicate country-year keeps only its last row."""
 
-    Rows are the country codes in sorted order and columns the years in
-    sorted order. present marks the cells some observation filled, so a
-    stored 0 or NaN stays distinct from a missing country-year.
-    """
+    codes: tuple[str, ...]       # sorted
+    rank: np.ndarray             # per row, the index of its code in codes
+    order: np.ndarray            # the rows by year and then by code
+    rows: dict[int, np.ndarray]  # panel year, ascending -> its part of order
 
-    codes: tuple[str, ...]
-    columns: dict[int, int]  # year -> column index
-    values: np.ndarray       # float, shape (len(codes), len(columns))
-    present: np.ndarray      # bool, same shape
-
-    def column(self, year: int) -> tuple[np.ndarray, np.ndarray]:
-        """(values, present) of one year, rows in country-code order."""
-        j = self.columns.get(year)
-        if j is None:
+    def year(self, year: int) -> np.ndarray:
+        """The rows of one year, in country-code order."""
+        rows = self.rows.get(year)
+        if rows is None:
             raise EmptyCrossSection(f"no country has data for year {year}")
-        return self.values[:, j], self.present[:, j]
+        return rows
 
 
-def year_matrix(obs: PanelColumns, field: "Variable | str") -> YearMatrix:
-    """Build field's YearMatrix from the columns of obs.
-
-    A duplicate country-year keeps its last value.
-    """
+def year_index(obs: PanelColumns) -> YearIndex:
+    """The YearIndex of obs; a duplicate country-year keeps its last row."""
     codes = sorted(set(obs.country_code.tolist()))
-    row = np.fromiter(map({code: i for i, code in enumerate(codes)}.get,
-                          obs.country_code.tolist()), np.intp, len(obs))
-    years, col = np.unique(obs.year, return_inverse=True)
-    # numpy leaves unspecified which repeated cell wins: assign last rows only
-    cell = col * len(codes) + row
-    last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]
-    row, col = row[last], col[last]
-    # column-major, so that each year's column is contiguous
-    values = np.zeros((len(codes), len(years)), order="F")
-    present = np.zeros(values.shape, dtype=bool, order="F")
-    values[row, col] = getattr(obs, _ATTRIBUTES[as_variable(field)])[last]
-    present[row, col] = True
-    columns = {year: j for j, year in enumerate(years.tolist())}
-    return YearMatrix(tuple(codes), columns, values, present)
+    rank = np.fromiter(map({code: i for i, code in enumerate(codes)}.get,
+                           obs.country_code.tolist()), np.intp, len(obs))
+    order = np.lexsort((rank, obs.year))  # stable: duplicates in row order
+    year, ranked = obs.year[order], rank[order]
+    last = np.ones(len(order), dtype=bool)  # the last row of its country-year
+    last[:-1] = (year[1:] != year[:-1]) | (ranked[1:] != ranked[:-1])
+    order, year = order[last], year[last]
+    years, starts = np.unique(year, return_index=True)
+    return YearIndex(tuple(codes), rank, order,
+                     dict(zip(years.tolist(), np.split(order, starts[1:]))))
 
 
 def cross_section(obs: PanelColumns, year: int,
                   field: "Variable | str") -> dict[str, float]:
-    """Map country_code -> field value for one year, sorted by country code:
-    the cells of year_matrix(obs, field).column(year) that rows filled."""
-    matrix = year_matrix(obs, field)
-    values, present = matrix.column(year)
-    return {code: value for code, value, here
-            in zip(matrix.codes, values.tolist(), present.tolist()) if here}
+    """Map country_code -> field value for one year, sorted by country code."""
+    attribute = _ATTRIBUTES[as_variable(field)]
+    obs = obs.compress(obs.year == year)
+    rows = year_index(obs).year(year)
+    return dict(zip(obs.country_code[rows].tolist(),
+                    getattr(obs, attribute)[rows].tolist()))
 
 
 def filter_income_group(obs: PanelColumns,
                         group: IncomeGroup) -> PanelColumns:
     """Subset of observations in the given income group, order kept."""
-    mask = obs.income_group == group
-    return PanelColumns(*(column[mask] for column in obs.columns()))
+    return obs.compress(obs.income_group == group)
 
 
 def records_from_observations(obs: PanelColumns,

@@ -9,17 +9,14 @@ whose slope S maps to a per-year convergence speed beta through
 S = 1 - beta*dt. beta > 0 means initially small values grow faster
 (convergence); beta < 0 means divergence. All logarithms are natural.
 
-slope_surface takes the log of its country x year matrix once, over the
-cells that are present and > 0, and each (t, dt) cell fits the rows usable
-at both ends through ols, whose means are one add-reduce each. The bits
-equal those of logging each cell's own rows and of np.mean.
+Each fit pairs the rows of two years by country through the panel's
+YearIndex, so memory grows with the rows, not with countries x years.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,8 +25,8 @@ import numpy as np
 from .errors import DegenerateX, NonPositiveValue, TooFewCountries, TooFewPoints
 # cross_section is not called here, but perfbench/tracer.py wraps
 # regress.cross_section by name
-from .panel import (PanelColumns, Variable, as_variable, cross_section,
-                    write_table, year_matrix)
+from .panel import (_ATTRIBUTES, PanelColumns, Variable, as_variable,
+                    cross_section, write_table, year_index)
 
 SURFACE_CSV_HEADER = ["variable", "t", "dt", "S", "beta", "alpha",
                       "r_squared", "n_countries"]
@@ -128,33 +125,21 @@ def growth_rate(v_start: float, v_end: float, dt: float) -> float:
     return math.log(v_end / v_start) / dt
 
 
-def _log_columns(values: np.ndarray, present: np.ndarray):
-    """(logs, positive, present) of a YearMatrix's values and present, one
-    column or all: positive marks the cells present and > 0, and logs holds
-    their natural log and 0 elsewhere, with no numpy warning for those."""
-    positive = present & (values > 0)
-    return (np.log(values, out=np.zeros_like(values), where=positive),
-            positive, present)
-
-
 def _log_log_fit(x_column, y_column, label: str) -> tuple[OlsFit, int]:
-    """OLS of log y on log x over the rows positive in both _log_columns;
-    also counts the rows present in either but left out."""
-    (x_log, x_positive, x_present), (y_log, y_positive, y_present) = (
-        x_column, y_column)
-    usable = x_positive & y_positive
-    n_usable = int(np.count_nonzero(usable))
-    if n_usable < 3:
+    """OLS of y on x, each column given as (logs, n): the logs of the rows
+    usable at both, and n rows present there and not counted by the other
+    column. Rows counted but not usable are counted as excluded."""
+    (x, n_x), (y, n_y) = x_column, y_column
+    if len(x) < 3:
         raise TooFewCountries(
-            f"{n_usable} countries with positive {label}; need >= 3")
-    return (ols(x_log[usable], y_log[usable]),
-            int(np.count_nonzero(x_present | y_present)) - n_usable)
+            f"{len(x)} countries with positive {label}; need >= 3")
+    return ols(x, y), n_x + n_y - len(x)
 
 
 def _fit_cell(variable: Variable, t: int, dt: int, start,
               end) -> ConvergenceFit:
-    """Regress log v(t+dt) on log v(t) over the rows positive at both ends;
-    start and end are the _log_columns of years t and t + dt."""
+    """Regress log v(t+dt) on log v(t) over start and end, the _log_log_fit
+    columns of years t and t + dt."""
     fit, n_excluded = _log_log_fit(
         start, end, f"{variable.value} at both {t} and {t + dt}")
     return ConvergenceFit(variable=variable, t=t, dt=dt, S=fit.slope,
@@ -171,9 +156,16 @@ def convergence_regression(obs: PanelColumns, variable: "Variable | str",
     either endpoint, are excluded and counted in n_excluded.
     """
     variable = as_variable(variable)
-    matrix = year_matrix(obs, variable)
-    return _fit_cell(variable, t, dt, _log_columns(*matrix.column(t)),
-                     _log_columns(*matrix.column(t + dt)))
+    obs = obs.compress((obs.year == t) | (obs.year == t + dt))
+    index = year_index(obs)
+    start, end = index.year(t), index.year(t + dt)
+    both, i, k = np.intersect1d(index.rank[start], index.rank[end],
+                                return_indices=True)
+    x, y = (getattr(obs, _ATTRIBUTES[variable])[rows]
+            for rows in (start[i], end[k]))
+    usable = (x > 0) & (y > 0)
+    return _fit_cell(variable, t, dt, (np.log(x[usable]), len(start)),
+                     (np.log(y[usable]), len(end) - len(both)))
 
 
 def slope_surface(obs: PanelColumns, variable: "Variable | str",
@@ -181,29 +173,50 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
                   r2_min: float = 0.0) -> SlopeSurface:
     """One ConvergenceFit per (t in t_list, 1 <= dt <= dt_max) with enough data.
 
-    Fits with r_squared below r2_min are dropped and counted. Only cells
-    whose years are both panel years are fitted; every other grid cell, and
-    a fitted one with too few countries, is skipped and counted. Entry order
-    follows the grid order (t outer, dt inner), never completion order.
+    Fits with r_squared below r2_min are dropped and counted. Only cells of
+    two panel years with at least 3 countries positive at both are fitted;
+    every other grid cell is skipped and counted. Entry order follows the
+    grid order (t outer, dt inner), never completion order.
     """
     if not t_list:
         raise ValueError("t_list must be nonempty")
     if dt_max < 1:
         raise ValueError(f"dt_max must be >= 1, got {dt_max}")
     variable = as_variable(variable)
-    matrix = year_matrix(obs, variable)
-    years = list(matrix.columns)  # ascending, so year years[j] is column j
-    logs, positive, present = _log_columns(matrix.values, matrix.present)
-    # per year, as year_matrix is column-major, three contiguous columns
-    columns = list(zip(logs.T, positive.T, present.T))
+    index = year_index(obs)
+    years = list(index.rows)
+    # the rows of years[j] are bounds[j] to bounds[j + 1] of these arrays
+    bounds = np.cumsum([0, *map(len, index.rows.values())]).tolist()
+    ranks = index.rank[index.order]
+    values = getattr(obs, _ATTRIBUTES[variable])[index.order]
+    positive = values > 0
+    logs = np.log(values, out=np.zeros_like(values), where=positive)
+    n_positive = np.add.reduceat(positive, bounds[:-1], dtype=np.intp)
+    starts = {years[j]: j for j in np.flatnonzero(n_positive >= 3).tolist()}
+    # year t is scattered by country rank, the years after it gathered
+    logs_at = np.zeros(len(index.codes))
+    positive_at, present_at = np.zeros((2, len(index.codes)), dtype=bool)
     fits: list[ConvergenceFit] = []
-    for t in t_list:
-        j = matrix.columns.get(t)
-        if j is not None:
-            for k in range(j + 1, bisect_right(years, t + dt_max)):
-                with suppress(TooFewCountries):
-                    fits.append(_fit_cell(variable, t, years[k] - t,
-                                          columns[j], columns[k]))
+    for t, j in ((t, starts[t]) for t in t_list if t in starts):
+        a, b = bounds[j], bounds[j + 1]
+        logs_at[ranks[a:b]] = logs[a:b]
+        positive_at[ranks[a:b]], present_at[ranks[a:b]] = positive[a:b], True
+        end = bisect_right(years, t + dt_max)
+        there = ranks[b:bounds[end]]
+        usable = positive_at[there] & positive[b:bounds[end]]
+        x, y = logs_at[there], logs[b:bounds[end]]
+        offsets = np.array(bounds[j + 1:end], dtype=np.intp) - b
+        n_usable = np.add.reduceat(usable, offsets, dtype=np.intp).tolist()
+        n_both = np.add.reduceat(present_at[there], offsets,
+                                 dtype=np.intp).tolist()
+        for k, n, n_in_both in zip(range(j + 1, end), n_usable, n_both):
+            if n >= 3:
+                cell = slice(bounds[k] - b, bounds[k + 1] - b)
+                ok = usable[cell]
+                fits.append(_fit_cell(
+                    variable, t, years[k] - t, (x[cell][ok], b - a),
+                    (y[cell][ok], len(ok) - n_in_both)))
+        positive_at[ranks[a:b]] = present_at[ranks[a:b]] = False
     entries = tuple(fit for fit in fits if not fit.r_squared < r2_min)
     return SlopeSurface(variable=variable, entries=entries, r2_min=r2_min,
                         n_dropped=len(fits) - len(entries),

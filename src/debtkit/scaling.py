@@ -7,16 +7,15 @@ on log d, matching the power-law form above.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import TooFewCountries
+import numpy as np
+
 # cross_section and ols are not called here, but perfbench/tracer.py wraps
 # scaling.cross_section and scaling.ols by name
-from .panel import (PanelColumns, Variable, YearMatrix, cross_section,
-                    write_table, year_matrix)
-from .regress import _log_columns, _log_log_fit, ols
+from .panel import PanelColumns, cross_section, write_table, year_index
+from .regress import _log_log_fit, ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
 
@@ -33,24 +32,21 @@ class ScalingFit:
     n_excluded: int = 0  # countries with d <= 0 or g <= 0 that year
 
 
-def _fit_year(d: YearMatrix, g: YearMatrix, year: int) -> ScalingFit:
-    """OLS of log g on log d over the rows with positive d and g in year."""
-    fit, n_excluded = _log_log_fit(_log_columns(*d.column(year)),
-                                   _log_columns(*g.column(year)),
-                                   f"d and g in {year}")
+def _fit_year(obs: PanelColumns, rows, year: int) -> ScalingFit:
+    """OLS of log g on log d over the rows of year with positive d and g."""
+    d, g = obs.d[rows], obs.g[rows]
+    usable = (d > 0) & (g > 0)
+    fit, n_excluded = _log_log_fit((np.log(d[usable]), len(rows)),
+                                   (np.log(g[usable]), 0), f"d and g in {year}")
     return ScalingFit(year=year, gamma=fit.slope, log_A=fit.intercept,
                       r_squared=fit.r_squared, n_countries=fit.n,
                       n_excluded=n_excluded)
 
 
-def _d_and_g(obs: PanelColumns) -> tuple[YearMatrix, YearMatrix]:
-    return (year_matrix(obs, Variable.DEBT_PER_CAPITA),
-            year_matrix(obs, Variable.GDP_PER_CAPITA))
-
-
 def fit_gdp_debt_scaling(obs: PanelColumns, year: int) -> ScalingFit:
     """OLS of log g on log d over countries with positive d and g in a year."""
-    return _fit_year(*_d_and_g(obs), year)
+    obs = obs.compress(obs.year == year)
+    return _fit_year(obs, year_index(obs).year(year), year)
 
 
 def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
@@ -60,12 +56,11 @@ def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
     """
     if not years:
         raise ValueError("years must be nonempty")
-    d, g = _d_and_g(obs)
-    fits = []
-    for year in (year for year in years if year in d.columns):
-        with suppress(TooFewCountries):
-            fits.append(_fit_year(d, g, year))
-    return fits
+    index = year_index(obs)
+    usable = (obs.d > 0) & (obs.g > 0)
+    return [_fit_year(obs, index.rows[year], year) for year in years
+            if year in index.rows
+            and np.count_nonzero(usable[index.rows[year]]) >= 3]
 
 
 def write_trend_csv(fits: Iterable[ScalingFit], path,

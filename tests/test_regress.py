@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from debtkit import errors, panel, regress, scaling
+from test_year_matrix import year_matrix
 
 
 def _grid_ols_slope(x, y, lo=-5.0, hi=5.0, step=1e-4):
@@ -236,6 +237,7 @@ def test_slope_surface_fits_only_panel_year_pairs(monkeypatch):
     surface = regress.slope_surface(obs, "d", t_list, 10_000)
     pairs = [(t, end - t) for t in years for end in years if t < end]
     assert len(calls) <= len(pairs)
+    assert set(calls) <= set(pairs)
     assert [(e.t, e.dt) for e in surface.entries] == [
         (2000, 1), (2000, 3), (2001, 2)]
     fits = len(surface.entries) + surface.n_dropped
@@ -325,11 +327,11 @@ def _ref_fit_cell(matrix, variable, t, dt):
 
 
 def _ref_convergence_regression(obs, variable, t, dt):
-    return _ref_fit_cell(panel.year_matrix(obs, variable), variable, t, dt)
+    return _ref_fit_cell(year_matrix(obs, variable), variable, t, dt)
 
 
 def _ref_slope_surface(obs, variable, t_list, dt_max, r2_min):
-    matrix = panel.year_matrix(obs, variable)
+    matrix = year_matrix(obs, variable)
     fits = []
     for t in t_list:
         for end in (y for y in matrix.columns if t in matrix.columns
@@ -346,8 +348,8 @@ def _ref_slope_surface(obs, variable, t_list, dt_max, r2_min):
 
 
 def _ref_gamma_trend(obs, years):
-    d = panel.year_matrix(obs, "d")
-    g = panel.year_matrix(obs, "g")
+    d = year_matrix(obs, "d")
+    g = year_matrix(obs, "g")
     fits = []
     for year in (year for year in years if year in d.columns):
         try:

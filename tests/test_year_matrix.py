@@ -1,17 +1,30 @@
-"""The dense country x year matrix against the cross_section reference.
+"""The panel's YearIndex against a row-scan reference, and the dense matrix.
 
-slope_surface, convergence_regression, gamma_trend and fit_gdp_debt_scaling
-fit every cell from panel.year_matrix. The reference below is the earlier
-implementation, which rescanned the observations through cross_section for
-each cell; on any panel both must give equal results, or raise the same
-error with the same message. panel.cross_section reads one year of
-year_matrix too, and the earlier row scan below is its reference.
+slope_surface, convergence_regression, gamma_trend, fit_gdp_debt_scaling
+and panel.cross_section read each year's rows through panel.year_index.
+The reference below is the earlier implementation, which rescanned the
+observations through cross_section for each cell; on any panel both must
+give equal results, or raise the same error with the same message.
+
+The dense country x year matrix that the fits read before the index is kept
+below as year_matrix, the oracle that tests/test_regress.py holds the fits
+to bit for bit. It takes memory in proportion to countries x years; the
+index takes it in proportion to the rows, and the last tests bound it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
 from collections import namedtuple
+from dataclasses import dataclass
+from itertools import islice, product
+from pathlib import Path
+from string import ascii_uppercase
 from typing import Iterable
 
 import numpy as np
@@ -27,6 +40,52 @@ from debtkit.panel import _ATTRIBUTES, Variable, as_variable
 # fields in order it is also a row for PanelColumns.from_rows
 PerCapitaObservation = namedtuple(
     "PerCapitaObservation", "country_code year d g ratio_R income_group")
+
+
+# ------------------------------------------------ dense matrix reference
+
+@dataclass(frozen=True, eq=False)
+class YearMatrix:
+    """One field as a dense country x year matrix.
+
+    Rows are the country codes in sorted order and columns the years in
+    sorted order. present marks the cells some observation filled, so a
+    stored 0 or NaN stays distinct from a missing country-year.
+    """
+
+    codes: tuple[str, ...]
+    columns: dict[int, int]  # year -> column index
+    values: np.ndarray       # float, shape (len(codes), len(columns))
+    present: np.ndarray      # bool, same shape
+
+    def column(self, year: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, present) of one year, rows in country-code order."""
+        j = self.columns.get(year)
+        if j is None:
+            raise EmptyCrossSection(f"no country has data for year {year}")
+        return self.values[:, j], self.present[:, j]
+
+
+def year_matrix(obs: panel.PanelColumns, field: "Variable | str") -> YearMatrix:
+    """Build field's YearMatrix from the columns of obs.
+
+    A duplicate country-year keeps its last value.
+    """
+    codes = sorted(set(obs.country_code.tolist()))
+    row = np.fromiter(map({code: i for i, code in enumerate(codes)}.get,
+                          obs.country_code.tolist()), np.intp, len(obs))
+    years, col = np.unique(obs.year, return_inverse=True)
+    # numpy leaves unspecified which repeated cell wins: assign last rows only
+    cell = col * len(codes) + row
+    last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]
+    row, col = row[last], col[last]
+    # column-major, so that each year's column is contiguous
+    values = np.zeros((len(codes), len(years)), order="F")
+    present = np.zeros(values.shape, dtype=bool, order="F")
+    values[row, col] = getattr(obs, _ATTRIBUTES[as_variable(field)])[last]
+    present[row, col] = True
+    columns = {year: j for j, year in enumerate(years.tolist())}
+    return YearMatrix(tuple(codes), columns, values, present)
 
 
 # ----------------------------------------------- cross_section reference
@@ -197,21 +256,20 @@ def _obs(code, year, value):
         income_group=panel.IncomeGroup.HIGH)
 
 
-def test_year_matrix_layout_and_presence():
+def test_year_index_layout():
     obs = [_obs("CCC", 2001, 3.0), _obs("AAA", 2003, 0.0),
            _obs("BBB", 2001, math.nan), _obs("CCC", 2001, 4.0)]
-    m = panel.year_matrix(panel.PanelColumns.from_rows(obs), "d")
-    assert m.codes == ("AAA", "BBB", "CCC")
-    assert m.columns == {2001: 0, 2003: 1}
-    values, present = m.column(2001)
-    assert present.tolist() == [False, True, True]
-    assert values[2] == 4.0  # a duplicate country-year keeps its last value
-    assert math.isnan(values[1])
-    values, present = m.column(2003)
-    assert present.tolist() == [True, False, False]
-    assert values[0] == 0.0
+    index = panel.year_index(panel.PanelColumns.from_rows(obs))
+    assert index.codes == ("AAA", "BBB", "CCC")
+    assert index.rank.tolist() == [2, 0, 1, 2]
+    assert list(index.rows) == [2001, 2003]
+    # rows come in code order, and a duplicate country-year keeps its last
+    # row; the NaN row and the 0 row are there
+    assert index.year(2001).tolist() == [2, 3]
+    assert index.year(2003).tolist() == [1]
+    assert index.order.tolist() == [2, 3, 1]
     with pytest.raises(errors.EmptyCrossSection, match="year 2002"):
-        m.column(2002)
+        index.year(2002)
 
 
 def test_constant_x_cell_raises_degenerate_x():
@@ -224,3 +282,59 @@ def test_constant_x_cell_raises_degenerate_x():
                               [2000], 1)
     with pytest.raises(errors.DegenerateX):
         _ref_slope_surface(obs, "d", [2000], 1)
+
+
+# ------------------------------------------------------------ memory
+
+def _one_year_each(n):
+    """n countries, each observed in a year of its own from 2000 on."""
+    codes = map("".join, product(ascii_uppercase, repeat=3))
+    return [_obs(code, 2000 + i, 1.0 + i)
+            for i, code in enumerate(islice(codes, n))]
+
+
+def test_one_year_per_country_panel_reads_in_little_memory():
+    # the dense matrix of this panel held 4,000 x 4,000 cells, 277 MiB
+    obs = panel.PanelColumns.from_rows(_one_year_each(4000))
+    years = list(range(2000, 6000))
+    tracemalloc.start()
+    try:
+        surface = regress.slope_surface(obs, "d", years[:-1], 15)
+        fits = scaling.gamma_trend(obs, years)
+        with pytest.raises(errors.TooFewCountries):
+            regress.convergence_regression(obs, "d", 2000, 1)
+        section = panel.cross_section(obs, 2000, "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (surface.entries, surface.n_skipped) == ((), 3999 * 15)
+    assert fits == [] and section == {"AAA": 1.0}
+    assert peak < 16 * 2 ** 20
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_one_year_per_country_cli_runs_in_one_gib(tmp_path):
+    # 17,576 countries and years: a dense matrix of them needs 2.3 GiB
+    rows = _one_year_each(26 ** 3)
+    obs = panel.PanelColumns.from_rows(rows)
+    panel.write_panel_csv(tmp_path / "panel.csv",
+                          panel.records_from_observations(obs))
+    panel.write_deflator_csv(tmp_path / "deflator.csv", panel.DeflatorSeries(
+        {row.year: 1.0 for row in rows}))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for command, note in (("converge", "(0 fits, 0 below r2_min, 263625 "
+                                       "skipped)"),
+                          ("scaling", "(0 years)")):
+        result = subprocess.run(
+            [sys.executable, "-m", "debtkit.cli", command,
+             "--panel", str(tmp_path / "panel.csv"),
+             "--deflator", str(tmp_path / "deflator.csv"),
+             "--out", str(tmp_path / command)],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=_one_gib_address_space)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert note in result.stdout
