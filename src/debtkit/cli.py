@@ -241,7 +241,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     n_zero = int((ratio == 0).sum())
     fit = dist.fit_gamma_mle(ratio[ratio > 0])
     rows = []
-    for year, in_year in panel.year_index(obs).rows.items():  # in code order
+    for year, in_year in obs.index.rows.items():  # in code order
         above = obs.country_code[in_year[ratio[in_year] > args.threshold]]
         rows.append((year, len(in_year), len(above), ";".join(above)))
     summary = {

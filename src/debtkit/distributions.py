@@ -230,7 +230,8 @@ def fit_zipf_exponent(ranked: Sequence[float],
     """OLS of log value on log rank over ranks [r_lo, r_hi]; zeta = -slope.
 
     ranked holds values in rank order, as zipf_ranks returns them: the value
-    at index i has rank i + 1. The default window is every rank.
+    at index i has rank i + 1. The default window is every rank, and the
+    values in the window must be finite and > 0.
     """
     ranked = np.asarray(ranked, dtype=float)
     if ranked.ndim != 1:
@@ -250,6 +251,9 @@ def fit_zipf_exponent(ranked: Sequence[float],
     if np.any(window <= 0):
         raise NonPositiveInWindow(
             f"window [{r_lo}, {r_hi}] contains values <= 0")
+    if not np.all(np.isfinite(window)):
+        raise NonFiniteValue(
+            f"window [{r_lo}, {r_hi}] contains values that are not finite")
     fit = ols(np.log(np.arange(r_lo, r_lo + window.size)), np.log(window))
     zeta = -fit.slope
     if zeta <= 0:

@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Iterable
@@ -56,13 +57,6 @@ class Variable(Enum):
     DEBT_PER_CAPITA = "d"
     GDP_PER_CAPITA = "g"
     RATIO_R = "R"
-
-
-def as_variable(value: "Variable | str") -> Variable:
-    """Coerce a short code ('d', 'g', 'R') or enum member to Variable."""
-    if isinstance(value, Variable):
-        return value
-    return Variable(value)
 
 
 def _check_record(code: str, year: int, gdp: float, debt: float,
@@ -156,6 +150,24 @@ class Panel:
 
 
 @dataclass(frozen=True, eq=False)
+class YearIndex:
+    """Each year's rows of a panel in country-code order, in memory that
+    grows with the rows; a duplicate country-year keeps only its last row."""
+
+    codes: tuple[str, ...]       # sorted
+    rank: np.ndarray             # per row, the index of its code in codes
+    order: np.ndarray            # the rows by year and then by code
+    rows: dict[int, np.ndarray]  # panel year, ascending -> its part of order
+
+    def year(self, year: int) -> np.ndarray:
+        """The rows of one year, in country-code order."""
+        rows = self.rows.get(year)
+        if rows is None:
+            raise EmptyCrossSection(f"no country has data for year {year}")
+        return rows
+
+
+@dataclass(frozen=True, eq=False)
 class PanelColumns(_Columns):
     """Observations: real per-capita debt d and GDP g (thousand year-2000
     USD per person) and the dimensionless debt-to-GDP ratio R."""
@@ -166,6 +178,22 @@ class PanelColumns(_Columns):
     g: np.ndarray
     ratio_R: np.ndarray
     income_group: np.ndarray
+
+    @cached_property
+    def index(self) -> YearIndex:
+        """The YearIndex of these rows, built on first read and then kept,
+        so the arrays must not change in place after it is read."""
+        codes = sorted(set(self.country_code.tolist()))
+        rank = np.fromiter(map({code: i for i, code in enumerate(codes)}.get,
+                               self.country_code.tolist()), np.intp, len(self))
+        order = np.lexsort((rank, self.year))  # stable: duplicates in order
+        year, ranked = self.year[order], rank[order]
+        last = np.ones(len(order), dtype=bool)  # last row of its country-year
+        last[:-1] = (year[1:] != year[:-1]) | (ranked[1:] != ranked[:-1])
+        order, year = order[last], year[last]
+        years, starts = np.unique(year, return_index=True)
+        rows = dict(zip(years.tolist(), np.split(order, starts[1:])))
+        return YearIndex(tuple(codes), rank, order, rows)
 
 
 def _split(line_no: int, line: str) -> list[str]:
@@ -341,47 +369,12 @@ _ATTRIBUTES = {Variable.DEBT_PER_CAPITA: "d", Variable.GDP_PER_CAPITA: "g",
                Variable.RATIO_R: "ratio_R"}
 
 
-@dataclass(frozen=True, eq=False)
-class YearIndex:
-    """Each year's rows of a panel in country-code order, in memory that
-    grows with the rows; a duplicate country-year keeps only its last row."""
-
-    codes: tuple[str, ...]       # sorted
-    rank: np.ndarray             # per row, the index of its code in codes
-    order: np.ndarray            # the rows by year and then by code
-    rows: dict[int, np.ndarray]  # panel year, ascending -> its part of order
-
-    def year(self, year: int) -> np.ndarray:
-        """The rows of one year, in country-code order."""
-        rows = self.rows.get(year)
-        if rows is None:
-            raise EmptyCrossSection(f"no country has data for year {year}")
-        return rows
-
-
-def year_index(obs: PanelColumns) -> YearIndex:
-    """The YearIndex of obs; a duplicate country-year keeps its last row."""
-    codes = sorted(set(obs.country_code.tolist()))
-    rank = np.fromiter(map({code: i for i, code in enumerate(codes)}.get,
-                           obs.country_code.tolist()), np.intp, len(obs))
-    order = np.lexsort((rank, obs.year))  # stable: duplicates in row order
-    year, ranked = obs.year[order], rank[order]
-    last = np.ones(len(order), dtype=bool)  # the last row of its country-year
-    last[:-1] = (year[1:] != year[:-1]) | (ranked[1:] != ranked[:-1])
-    order, year = order[last], year[last]
-    years, starts = np.unique(year, return_index=True)
-    return YearIndex(tuple(codes), rank, order,
-                     dict(zip(years.tolist(), np.split(order, starts[1:]))))
-
-
 def cross_section(obs: PanelColumns, year: int,
                   field: "Variable | str") -> dict[str, float]:
     """Map country_code -> field value for one year, sorted by country code."""
-    attribute = _ATTRIBUTES[as_variable(field)]
-    obs = obs.compress(obs.year == year)
-    rows = year_index(obs).year(year)
+    rows = obs.index.year(year)
     return dict(zip(obs.country_code[rows].tolist(),
-                    getattr(obs, attribute)[rows].tolist()))
+                    getattr(obs, _ATTRIBUTES[Variable(field)])[rows].tolist()))
 
 
 def filter_income_group(obs: PanelColumns,

@@ -9,8 +9,8 @@ whose slope S maps to a per-year convergence speed beta through
 S = 1 - beta*dt. beta > 0 means initially small values grow faster
 (convergence); beta < 0 means divergence. All logarithms are natural.
 
-Each fit pairs the rows of two years by country through the panel's
-YearIndex, so memory grows with the rows, not with countries x years.
+Each fit pairs the rows of two years by country through obs.index, the
+panel's one YearIndex, so memory grows with the rows, not countries x years.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateX, NonPositiveValue, TooFewCountries, TooFewPoints
+from .errors import (DegenerateX, NonFiniteValue, NonPositiveValue,
+                     TooFewCountries, TooFewPoints)
 # cross_section is not called here, but perfbench/tracer.py wraps
 # regress.cross_section by name
-from .panel import (_ATTRIBUTES, PanelColumns, Variable, as_variable,
-                    cross_section, write_table, year_index)
+from .panel import (_ATTRIBUTES, PanelColumns, Variable, cross_section,
+                    write_table)
 
 SURFACE_CSV_HEADER = ["variable", "t", "dt", "S", "beta", "alpha",
                       "r_squared", "n_countries"]
@@ -117,11 +118,14 @@ def ols(x: Sequence[float], y: Sequence[float]) -> OlsFit:
 
 def growth_rate(v_start: float, v_end: float, dt: float) -> float:
     """Annualized logarithmic growth rate log(v_end/v_start)/dt (natural log)."""
+    if not (math.isfinite(v_start) and math.isfinite(v_end)):
+        raise NonFiniteValue(
+            f"growth rate needs finite values, got ({v_start!r}, {v_end!r})")
     if v_start <= 0 or v_end <= 0:
         raise NonPositiveValue(
             f"growth rate needs positive values, got ({v_start!r}, {v_end!r})")
-    if dt < 1:
-        raise ValueError(f"dt must be >= 1 year, got {dt!r}")
+    if not 1 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and >= 1 year, got {dt!r}")
     return math.log(v_end / v_start) / dt
 
 
@@ -155,9 +159,10 @@ def convergence_regression(obs: PanelColumns, variable: "Variable | str",
     Countries lacking either endpoint, or with a non-positive value at
     either endpoint, are excluded and counted in n_excluded.
     """
-    variable = as_variable(variable)
-    obs = obs.compress((obs.year == t) | (obs.year == t + dt))
-    index = year_index(obs)
+    if dt < 1:
+        raise ValueError(f"dt must be >= 1, got {dt}")
+    variable = Variable(variable)
+    index = obs.index
     start, end = index.year(t), index.year(t + dt)
     both, i, k = np.intersect1d(index.rank[start], index.rank[end],
                                 return_indices=True)
@@ -182,8 +187,8 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
         raise ValueError("t_list must be nonempty")
     if dt_max < 1:
         raise ValueError(f"dt_max must be >= 1, got {dt_max}")
-    variable = as_variable(variable)
-    index = year_index(obs)
+    variable = Variable(variable)
+    index = obs.index
     years = list(index.rows)
     # the rows of years[j] are bounds[j] to bounds[j + 1] of these arrays
     bounds = np.cumsum([0, *map(len, index.rows.values())]).tolist()

@@ -14,7 +14,7 @@ import numpy as np
 
 # cross_section and ols are not called here, but perfbench/tracer.py wraps
 # scaling.cross_section and scaling.ols by name
-from .panel import PanelColumns, cross_section, write_table, year_index
+from .panel import PanelColumns, cross_section, write_table
 from .regress import _log_log_fit, ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
@@ -45,8 +45,7 @@ def _fit_year(obs: PanelColumns, rows, year: int) -> ScalingFit:
 
 def fit_gdp_debt_scaling(obs: PanelColumns, year: int) -> ScalingFit:
     """OLS of log g on log d over countries with positive d and g in a year."""
-    obs = obs.compress(obs.year == year)
-    return _fit_year(obs, year_index(obs).year(year), year)
+    return _fit_year(obs, obs.index.year(year), year)
 
 
 def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
@@ -56,11 +55,10 @@ def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
     """
     if not years:
         raise ValueError("years must be nonempty")
-    index = year_index(obs)
+    rows = obs.index.rows
     usable = (obs.d > 0) & (obs.g > 0)
-    return [_fit_year(obs, index.rows[year], year) for year in years
-            if year in index.rows
-            and np.count_nonzero(usable[index.rows[year]]) >= 3]
+    return [_fit_year(obs, rows[year], year) for year in years
+            if year in rows and np.count_nonzero(usable[rows[year]]) >= 3]
 
 
 def write_trend_csv(fits: Iterable[ScalingFit], path,

@@ -82,6 +82,23 @@ def test_converge_writes_three_surfaces(tmp_path, capsys):
         assert len(lines) == 2 + 6 * 5  # t in 1990..1995, dt in 1..5
 
 
+def test_converge_builds_one_year_index(tmp_path, monkeypatch):
+    # the surfaces of d, g and R pair countries through one index
+    from debtkit import panel as panel_mod
+    panel_path, deflator_path = _synth(tmp_path)
+    build, built = panel_mod.YearIndex, []
+
+    def counted(*fields):
+        built.append(build(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(panel_mod, "YearIndex", counted)
+    assert cli.main(["converge", "--panel", panel_path,
+                     "--deflator", deflator_path, "--out",
+                     str(tmp_path / "conv"), "--dt-max", "3"]) == 0
+    assert len(built) == 1
+
+
 def test_dist_outputs(tmp_path, small_panel):
     panel_path, deflator_path = small_panel
     out = tmp_path / "dist"

@@ -6,7 +6,7 @@
   rounding: S and beta of each surface, gamma of the scaling trend, zeta of
   each Zipf fit, and the Gamma shape k of R with its tail probability. The
   threshold counts, which hold no floats, stay byte for byte the same.
-* Row order. A panel is a set of country-years. `year_index` sorts codes
+* Row order. A panel is a set of country-years. `obs.index` sorts codes
   and years, so `converge`, `scaling` and `threshold_breaches.csv` come out
   byte for byte the same on shuffled rows. `dist` does too, except
   `gamma_fit*.json`: its means, and those in `threshold_summary.json`, sum

@@ -326,6 +326,14 @@ def test_zipf_guards():
         dist.fit_zipf_exponent([2.0, 1.0, 0.5], rank_window=(3, 1))
 
 
+def test_zipf_fit_rejects_non_finite_window():
+    ranked = [math.nan, 3.0, 2.0, 1.0]
+    with pytest.raises(errors.NonFiniteValue, match=r"window \[1, 4\]"):
+        dist.fit_zipf_exponent(ranked)
+    # a window past the NaN still fits
+    assert dist.fit_zipf_exponent(ranked, rank_window=(2, 4)).zeta > 0
+
+
 def test_zipf_input_form():
     # NaN has no place in a descending order; inf is rejected with it
     for bad in (float("nan"), float("inf"), float("-inf")):

@@ -239,10 +239,16 @@ def test_cross_section_sorted_by_country(paths):
 
 
 def test_as_variable():
-    assert panel.as_variable("d") is panel.Variable.DEBT_PER_CAPITA
-    assert panel.as_variable(panel.Variable.RATIO_R) is panel.Variable.RATIO_R
-    with pytest.raises(ValueError):
-        panel.as_variable("x")
+    # a reader takes a Variable or its short code, and rejects any other
+    obs = panel.PanelColumns.from_rows(
+        [("USA", 2000, 1.0, 2.0, 0.5, panel.IncomeGroup.HIGH)])
+    assert (panel.cross_section(obs, 2000, "d")
+            == panel.cross_section(obs, 2000, panel.Variable.DEBT_PER_CAPITA)
+            == {"USA": 1.0})
+    assert panel.cross_section(obs, 2000, panel.Variable.RATIO_R) == {
+        "USA": 0.5}
+    with pytest.raises(ValueError, match="'x' is not a valid Variable"):
+        panel.cross_section(obs, 2000, "x")
 
 
 def test_package_exports_resolve():

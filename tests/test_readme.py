@@ -26,4 +26,6 @@ def test_readme_library_quickstart_runs(tmp_path, monkeypatch, capsys):
     exec(compile(_quickstart(), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "780 rows, 1970 to 1995"
-    assert len(lines) == 1 + 2 * 15 + 1  # one fit per (t, dt), then the gamma
+    assert lines[1] == "30 countries in 26 years"
+    # one fit per (t, dt), then the gamma
+    assert len(lines) == 2 + 2 * 15 + 1

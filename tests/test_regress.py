@@ -127,6 +127,19 @@ def test_growth_rate():
         regress.growth_rate(1.0, 2.0, 0)
 
 
+def test_growth_rate_rejects_non_finite_values():
+    for v_start, v_end in ((1.0, math.nan), (math.inf, 2.0),
+                           (1.0, -math.inf)):
+        with pytest.raises(errors.NonFiniteValue, match="finite values"):
+            regress.growth_rate(v_start, v_end, 1)
+
+
+def test_growth_rate_rejects_non_finite_dt():
+    for dt in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            regress.growth_rate(1.0, 2.0, dt)
+
+
 def _obs(code, year, value):
     """One observation row: the PanelColumns fields in order."""
     return (code, year, value, 1.0, value, panel.IncomeGroup.MEDIUM)
@@ -194,6 +207,16 @@ def test_too_few_countries_raises():
     with pytest.raises(errors.TooFewCountries):
         regress.convergence_regression(panel.PanelColumns.from_rows(obs),
                                        "d", 2000, 1)
+
+
+@pytest.mark.parametrize("dt", [0, -1])
+def test_convergence_regression_rejects_dt_below_one(dt):
+    obs = panel.PanelColumns.from_rows(
+        [_obs(code, year, v) for year in (2000, 2001)
+         for code, v in (("AAA", 1.0), ("BBB", 2.0), ("CCC", 4.0))])
+    with pytest.raises(ValueError, match=f"dt must be >= 1, got {dt}"):
+        regress.convergence_regression(obs, "d", 2001, dt)
+    assert "index" not in vars(obs)  # raised before any row was read
 
 
 def test_slope_surface_grid_order_and_counts():

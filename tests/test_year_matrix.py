@@ -1,7 +1,8 @@
 """The panel's YearIndex against a row-scan reference, and the dense matrix.
 
 slope_surface, convergence_regression, gamma_trend, fit_gdp_debt_scaling
-and panel.cross_section read each year's rows through panel.year_index.
+and panel.cross_section read each year's rows through obs.index, the
+YearIndex that a PanelColumns builds on first read and then keeps.
 The reference below is the earlier implementation, which rescanned the
 observations through cross_section for each cell; on any panel both must
 give equal results, or raise the same error with the same message.
@@ -21,7 +22,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice, product
 from pathlib import Path
 from string import ascii_uppercase
@@ -34,7 +35,7 @@ from hypothesis import strategies as st
 
 from debtkit import errors, panel, regress, scaling
 from debtkit.errors import EmptyCrossSection
-from debtkit.panel import _ATTRIBUTES, Variable, as_variable
+from debtkit.panel import _ATTRIBUTES, Variable
 
 # the earlier observation row, which the reference scans; as a tuple of the
 # fields in order it is also a row for PanelColumns.from_rows
@@ -82,7 +83,7 @@ def year_matrix(obs: panel.PanelColumns, field: "Variable | str") -> YearMatrix:
     # column-major, so that each year's column is contiguous
     values = np.zeros((len(codes), len(years)), order="F")
     present = np.zeros(values.shape, dtype=bool, order="F")
-    values[row, col] = getattr(obs, _ATTRIBUTES[as_variable(field)])[last]
+    values[row, col] = getattr(obs, _ATTRIBUTES[Variable(field)])[last]
     present[row, col] = True
     columns = {year: j for j, year in enumerate(years.tolist())}
     return YearMatrix(tuple(codes), columns, values, present)
@@ -93,7 +94,7 @@ def year_matrix(obs: panel.PanelColumns, field: "Variable | str") -> YearMatrix:
 def cross_section(obs: Iterable[PerCapitaObservation], year: int,
                   field: "Variable | str") -> dict[str, float]:
     """Map country_code -> field value for one year, sorted by country code."""
-    name = _ATTRIBUTES[as_variable(field)]
+    name = _ATTRIBUTES[Variable(field)]
     section = {o.country_code: getattr(o, name) for o in obs if o.year == year}
     if not section:
         raise EmptyCrossSection(f"no country has data for year {year}")
@@ -101,7 +102,7 @@ def cross_section(obs: Iterable[PerCapitaObservation], year: int,
 
 
 def _ref_convergence_regression(obs, variable, t, dt):
-    variable = panel.as_variable(variable)
+    variable = Variable(variable)
     obs = list(obs)
     start = cross_section(obs, t, variable)
     end = cross_section(obs, t + dt, variable)
@@ -122,7 +123,7 @@ def _ref_convergence_regression(obs, variable, t, dt):
 
 
 def _ref_slope_surface(obs, variable, t_list, dt_max, r2_min=0.0):
-    variable = panel.as_variable(variable)
+    variable = Variable(variable)
     obs = list(obs)
     entries = []
     n_dropped = 0
@@ -259,7 +260,7 @@ def _obs(code, year, value):
 def test_year_index_layout():
     obs = [_obs("CCC", 2001, 3.0), _obs("AAA", 2003, 0.0),
            _obs("BBB", 2001, math.nan), _obs("CCC", 2001, 4.0)]
-    index = panel.year_index(panel.PanelColumns.from_rows(obs))
+    index = panel.PanelColumns.from_rows(obs).index
     assert index.codes == ("AAA", "BBB", "CCC")
     assert index.rank.tolist() == [2, 0, 1, 2]
     assert list(index.rows) == [2001, 2003]
@@ -270,6 +271,18 @@ def test_year_index_layout():
     assert index.order.tolist() == [2, 3, 1]
     with pytest.raises(errors.EmptyCrossSection, match="year 2002"):
         index.year(2002)
+
+
+def test_index_is_built_once_per_columns():
+    columns = panel.PanelColumns.from_rows(
+        [_obs("BBB", 2001, 1.0), _obs("AAA", 2001, 2.0)])
+    assert "index" not in vars(columns)
+    assert columns.index is columns.index
+    # the index is no field, and a subset builds one of its own
+    assert [f.name for f in fields(columns)] == list(PerCapitaObservation._fields)
+    subset = columns.compress(columns.country_code == "BBB")
+    assert subset.index is not columns.index
+    assert subset.index.codes == ("BBB",)
 
 
 def test_constant_x_cell_raises_degenerate_x():
