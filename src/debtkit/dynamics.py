@@ -15,6 +15,7 @@ panels with a known ground-truth convergence speed for estimator tests.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -88,15 +89,19 @@ class ModelParams:
                 f"dt_step must be finite and > 0, got {self.dt_step!r}")
         if not 0 < self.gamma <= 1.2:
             raise ValueError(f"gamma must lie in (0, 1.2], got {self.gamma!r}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(
+                f"horizon must be finite and > 0, got {self.horizon!r}")
         if not self.horizon / self.dt_step <= MAX_STEPS:
             raise ValueError(f"more than {MAX_STEPS} Euler steps requested")
 
 
 @dataclass(eq=False)
 class SimPath:
-    """Simulated per-capita debt trajectory; truncated early on blowup/underflow."""
+    """Simulated per-capita debt trajectory; truncated early on blowup/underflow.
+
+    times and d_values are 1-D float64 arrays, 16 bytes per point together.
+    """
 
     times: np.ndarray
     d_values: np.ndarray
@@ -121,8 +126,9 @@ def step_debt(params: BudgetParams) -> np.ndarray:
                          "primary_deficit")
     debt = np.empty(params.horizon + 1)
     debt[0] = params.d0
-    for t in range(1, params.horizon + 1):
-        debt[t] = (1.0 + interest[t - 1]) * debt[t - 1] + deficit[t - 1]
+    with np.errstate(over="ignore"):  # inf, as Python float arithmetic gives
+        for t in range(1, params.horizon + 1):
+            debt[t] = (1.0 + interest[t - 1]) * debt[t - 1] + deficit[t - 1]
     return debt
 
 
@@ -144,27 +150,46 @@ def simulate_model(params: ModelParams) -> SimPath:
     """Integrate the per-capita model by explicit Euler on log d.
 
     Terminates early with BLOWUP above 1e12 or UNDERFLOW below 1e-12 (model
-    units); the crossing value is kept as the last point.
+    units); the crossing value is kept as the last point. A d past the
+    largest float is kept as inf (BLOWUP). The path is filled in a float64
+    buffer, so the returned arrays hold 16 bytes per point.
     """
     n_steps = int(round(params.horizon / params.dt_step))
+    c, r_pop, dt = params.c, params.r_pop, params.dt_step
+    # with c = 0 the rate term is 0 at any d, even where d**(gamma-1) overflows
+    exponent = params.gamma - 1.0 if c else 0.0
+    exp = math.exp
     log_d = math.log(params.d0)
-    values = [params.d0]
+    values = array.array("d", [params.d0])
+    append = values.append
     flag = TerminalFlag.COMPLETED
-    for _ in range(n_steps):
-        rate = (params.c * math.exp((params.gamma - 1.0) * log_d)
-                - params.r_pop)
-        log_d += params.dt_step * rate
-        d = math.exp(log_d)
-        values.append(d)
-        if d > BLOWUP_THRESHOLD:
+    try:
+        for _ in range(n_steps):
+            log_d += dt * (c * exp(exponent * log_d) - r_pop)
+            d = exp(log_d)
+            append(d)
+            if d > BLOWUP_THRESHOLD:
+                flag = TerminalFlag.BLOWUP
+                break
+            if d < UNDERFLOW_THRESHOLD:
+                flag = TerminalFlag.UNDERFLOW
+                break
+    except OverflowError:
+        # exp(log_d) overflowed, so d is past any float; or, from a subnormal
+        # d0 with gamma near 0, the first step's rate term did, and log_d,
+        # not yet updated, is below 0: the sign of c then sends d to inf or 0
+        if log_d > 0 or c > 0:
+            append(math.inf)
             flag = TerminalFlag.BLOWUP
-            break
-        if d < UNDERFLOW_THRESHOLD:
+        else:
+            append(0.0)
             flag = TerminalFlag.UNDERFLOW
-            break
-    # step i is at i * dt_step, as int64 times float64 gives for i < 2**53
-    return SimPath(times=np.arange(len(values)) * params.dt_step,
-                   d_values=np.array(values), terminal_flag=flag)
+    # step i is at float(i) * dt_step, the bits int64 i * dt_step gives
+    # for i < 2**53, without an int64 temporary
+    times = np.arange(len(values), dtype=float)
+    times *= dt
+    return SimPath(times=times, d_values=np.frombuffer(values),
+                   terminal_flag=flag)
 
 
 def _country_code(index: int) -> str:

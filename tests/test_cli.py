@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import warnings
 
@@ -208,6 +209,38 @@ def test_simulate_outputs(tmp_path):
     assert budget_lines[1] == "t,D"
     assert budget_lines[2] == "0,100.0"
     assert budget_lines[3] == "1,115.0"
+
+
+def test_simulate_overflow_ends_path(tmp_path, capsys):
+    # valid flags whose exp overflows: d past any float ends the path as
+    # Blowup with inf; from a subnormal d0 with gamma near 0 the first rate
+    # term overflows, and c < 0 or c = 0 ends it as Underflow
+    for flags, flag in (
+            (["--horizon", "1e5", "--dt-step", "1e5"], "Blowup"),
+            (["--d0", "1e-300", "--gamma", "0.01"], "Blowup"),
+            (["--dt-step", "1e3", "--horizon", "1e4", "--c", "1"], "Blowup"),
+            (["--d0", "1e-310", "--gamma", "1e-9", "--c", "0.05"], "Blowup"),
+            (["--d0", "1e-310", "--gamma", "1e-9", "--c", "-0.05"],
+             "Underflow"),
+            (["--d0", "1e-310", "--gamma", "1e-9", "--c", "0"], "Underflow")):
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--out", str(out), *flags]) == 0
+        assert f"simpath.csv (2 points, {flag})" in capsys.readouterr().out
+        d = float((out / "simpath.csv").read_text().splitlines()[-1]
+                  .split(",")[1])
+        assert d == math.inf if flag == "Blowup" else 0.0 <= d < 1e-12
+
+
+def test_budget_overflow_writes_inf_without_warning(tmp_path):
+    # at the default 5% interest, D passes the largest float after about
+    # 14,550 years
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["simulate", "--out", str(out), "--horizon", "20000",
+                       "--dt-step", "1", "--budget-d0", "1"])
+    assert rc == 0
+    assert (out / "budget_path.csv").read_text().splitlines()[-1] == "20000,inf"
 
 
 def test_threshold_outputs(tmp_path, small_panel):
@@ -445,6 +478,7 @@ def test_bad_model_params_exit_one(tmp_path, capsys):
     # non-finite model and budget flags are rejected before any file is written
     for flag, name in (("--c", "c"), ("--gamma", "gamma"), ("--r-pop", "r_pop"),
                        ("--d0", "d0"), ("--dt-step", "dt_step"),
+                       ("--horizon", "horizon"),
                        ("--budget-d0", "d0"), ("--budget-interest", "interest"),
                        ("--budget-deficit", "primary_deficit")):
         for value in ("nan", "inf"):

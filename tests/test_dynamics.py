@@ -6,10 +6,14 @@ u = d**(1-gamma) that linearizes the gamma<1 model to
 u(t) = c/r_pop + (u0 - c/r_pop) * exp(-(1-gamma) r_pop t).
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debtkit import dynamics, errors, panel, regress
 
@@ -83,12 +87,11 @@ def test_model_param_guards():
         _params(horizon=-1.0)
     _params(gamma=1.2)  # boundary included
     # the step count is checked at construction, before any step is taken
-    for horizon in (10_000.01, math.inf, math.nan):
-        with pytest.raises(ValueError, match="10000000"):
-            _params(dt_step=1e-3, horizon=horizon)
+    with pytest.raises(ValueError, match="10000000"):
+        _params(dt_step=1e-3, horizon=10_000.01)
     _params(dt_step=1.0, horizon=float(dynamics.MAX_STEPS))  # boundary included
     # non-finite values fail every comparison, so each is checked by name
-    for name in ("c", "gamma", "r_pop", "d0", "dt_step"):
+    for name in ("c", "gamma", "r_pop", "d0", "dt_step", "horizon"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=name):
                 _params(**{name: value})
@@ -205,6 +208,101 @@ def test_simulate_times_are_step_products():
         assert path.terminal_flag is flag
         assert np.array_equal(path.times, np.array(
             [i * p.dt_step for i in range(len(path.d_values))]))
+
+
+def _reference_simulate(params):
+    """simulate_model as it was with a list of Python floats: the oracle."""
+    n_steps = int(round(params.horizon / params.dt_step))
+    log_d = math.log(params.d0)
+    values = [params.d0]
+    flag = dynamics.TerminalFlag.COMPLETED
+    for _ in range(n_steps):
+        rate = (params.c * math.exp((params.gamma - 1.0) * log_d)
+                - params.r_pop)
+        log_d += params.dt_step * rate
+        d = math.exp(log_d)
+        values.append(d)
+        if d > dynamics.BLOWUP_THRESHOLD:
+            flag = dynamics.TerminalFlag.BLOWUP
+            break
+        if d < dynamics.UNDERFLOW_THRESHOLD:
+            flag = dynamics.TerminalFlag.UNDERFLOW
+            break
+    return dynamics.SimPath(times=np.arange(len(values)) * params.dt_step,
+                            d_values=np.array(values), terminal_flag=flag)
+
+
+def _bits(a):
+    return a.view(np.int64).tolist()
+
+
+def _decades(lo, hi):
+    return st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+                     st.integers(lo, hi))
+
+
+def test_simulate_bitwise_equal_loop_reference():
+    endings = set()
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(c=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+           gamma=st.floats(0.0, 1.2, exclude_min=True),
+           r_pop=st.floats(-2.0, 2.0),
+           d0=st.one_of(_decades(-14, 13), st.sampled_from([1e-310, 5e-324])),
+           dt_step=_decades(-3, 0), n_steps=st.integers(1, 2000))
+    def check(c, gamma, r_pop, d0, dt_step, n_steps):
+        params = dynamics.ModelParams(c=c, gamma=gamma, r_pop=r_pop, d0=d0,
+                                      dt_step=dt_step,
+                                      horizon=n_steps * dt_step)
+        path = dynamics.simulate_model(params)
+        endings.add(path.terminal_flag)
+        for a in (path.times, path.d_values):
+            assert a.dtype == np.float64 and a.ndim == 1
+        try:
+            ref = _reference_simulate(params)
+        except OverflowError:
+            if c == 0:
+                # d**(gamma-1) overflowed, but c = 0 makes the rate term 0
+                # at any gamma, as it is at gamma = 1
+                ref = _reference_simulate(dataclasses.replace(params,
+                                                              gamma=1.0))
+            else:
+                # exp overflowed: the path ends at inf, or at 0 when a
+                # negative rate term overflowed, after the points the
+                # oracle gives one step short of it
+                blowup = path.terminal_flag is dynamics.TerminalFlag.BLOWUP
+                assert blowup or (path.terminal_flag
+                                  is dynamics.TerminalFlag.UNDERFLOW)
+                assert path.d_values[-1] == (math.inf if blowup else 0.0)
+                steps = len(path.d_values) - 2
+                ref = (_reference_simulate(dataclasses.replace(
+                    params, horizon=steps * dt_step)) if steps else
+                    dynamics.SimPath(np.zeros(1), np.array([d0]),
+                                     dynamics.TerminalFlag.COMPLETED))
+                assert ref.terminal_flag is dynamics.TerminalFlag.COMPLETED
+                path = dynamics.SimPath(path.times[:-1], path.d_values[:-1],
+                                        ref.terminal_flag)
+        assert path.terminal_flag is ref.terminal_flag
+        assert _bits(path.times) == _bits(ref.times)
+        assert _bits(path.d_values) == _bits(ref.d_values)
+
+    check()
+    assert endings == set(dynamics.TerminalFlag)
+
+
+def test_simulate_path_memory_per_point():
+    # two float64 arrays, times and d_values, hold 16 bytes a point; a list
+    # of Python floats held 32 more while the path was built
+    p = _params(dt_step=1e-4, horizon=20.0)
+    tracemalloc.start()
+    try:
+        path = dynamics.simulate_model(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path.times) == 200_001
+    assert peak / len(path.times) < 20
 
 
 def test_simpath_csv(tmp_path):
