@@ -140,10 +140,20 @@ def model_growth_rate(params: ModelParams, d: float) -> float:
 
 
 def local_slope(params: ModelParams, d: float) -> float:
-    """Closed-form derivative of the growth rate: -c*(1-gamma)/d**(2-gamma)."""
+    """Closed-form derivative of the growth rate: -c*(1-gamma)/d**(2-gamma).
+
+    Where d**(2-gamma) underflows to 0 or overflows, it is divided out as
+    two factors d**(1-gamma/2), each a float, so the slope is its value,
+    or an infinity or signed 0 where that is past the floats.
+    """
     if d <= 0:
         raise NonPositiveDebt(f"debt must be > 0, got {d!r}")
-    return -params.c * (1.0 - params.gamma) / d ** (2.0 - params.gamma)
+    slope = -params.c * (1.0 - params.gamma)
+    try:
+        return slope / d ** (2.0 - params.gamma)
+    except (OverflowError, ZeroDivisionError):
+        root = d ** (1.0 - params.gamma / 2.0)
+        return slope / root / root
 
 
 def simulate_model(params: ModelParams) -> SimPath:

@@ -14,8 +14,10 @@ the nominal amounts directly since the deflator cancels.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -35,9 +37,17 @@ DEFLATOR_HEADER = ["year", "deflator"]
 BASE_YEAR = 2000
 YEARS = range(-2 ** 63, 2 ** 63)  # years are stored as int64 columns
 MAX_YEAR_SPAN = 10_000  # most years a flag range or a synthetic panel spans
-_BLOCK_ROWS = 512  # lines per csv.reader in _ingest_columns; 4096 measured slower
 _WRITE_ROWS = 8192  # rows per block in write_table; 1024 was slower, 65536 no faster
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes of a bad byte
+# what numpy's loadtxt reads unlike Python: a string field loses a trailing
+# NUL, and \x1c-\x1f are space around a number
+_NOT_PLAIN = "\x00\x1c\x1d\x1e\x1f"
+_WIDTH = 8  # characters of a code or group field in a table of _TABLES
+# the panel's fields as loadtxt reads plain rows (S) and _row_fields gives (U)
+_TABLES = {kind: np.dtype([
+    ("country_code", f"{kind}{_WIDTH}"), ("year", np.int64),
+    ("gdp_nominal", float), ("debt_nominal", float), ("population", float),
+    ("income_group", f"{kind}{_WIDTH}")]) for kind in "SU"}
 
 # Per-capita amounts are expressed in thousands of base-year USD per person.
 _THOUSAND = 1e3
@@ -213,6 +223,11 @@ def _lines(path: "str | Path", f):
         yield n, line
 
 
+def _is_row(line: str) -> bool:
+    """True for a data line: one neither blank nor a # comment."""
+    return bool(line.strip()) and not line.strip().startswith("#")
+
+
 def read_table(path: "str | Path", header: list[str], types: tuple):
     """Yield (line_no, fields) per data row, skipping blank and # lines.
 
@@ -224,7 +239,7 @@ def read_table(path: "str | Path", header: list[str], types: tuple):
     with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as f:
         rows = ((n, _split(n, line)) for n, line in _lines(path, f)
-                if line.strip() and not line.strip().startswith("#"))
+                if _is_row(line))
         first = next(rows, None)
         if first is None or [h.strip() for h in first[1]] != header:
             raise MalformedRow(
@@ -257,46 +272,79 @@ def _parse_deflator_csv(path: Path) -> DeflatorSeries:
     return DeflatorSeries(values=values)
 
 
+def _row_fields(line: str) -> tuple:
+    """A data line's fields as the row loop converts them, code and group
+    stripped; ValueError or csv.Error where the row loop cannot split or
+    convert the line, and on a quote or NUL, which only the row loop reads."""
+    row = next(csv.reader([line]))
+    if len(row) != len(PANEL_HEADER) or '"' in line or "\x00" in line:
+        raise ValueError("not a plain panel row")
+    code, year, *amounts, group = row
+    return code.strip(), int(year), *map(float, amounts), group.strip()
+
+
+def _records(table: np.ndarray, deflator: DeflatorSeries) -> RecordColumns:
+    """The records of a table of _TABLES; ValueError if a row breaks a rule
+    or a code or group is as wide as its field, so may have been cut."""
+    (codes, code_of), (groups, group_of), (years, year_of) = (
+        np.unique(table[name], return_inverse=True)
+        for name in ("country_code", "income_group", "year"))
+    codes, groups = codes.astype(str).tolist(), groups.astype(str).tolist()
+    names = np.array([code.strip().upper() for code in codes], object)
+    members = np.array([IncomeGroup(group.strip().upper()) for group in groups],
+                       object)
+    # one key per country-year, where " usa" and "USA" are one country
+    keys = np.sort(np.unique(names, return_inverse=True)[1][code_of]
+                   * len(years) + year_of)
+    gdp, debt, population = (table[name].copy() for name in
+                             ("gdp_nominal", "debt_nominal", "population"))
+    if not (max(map(len, codes + groups), default=0) < _WIDTH
+            and all(len(code) == 3 and code.isalpha() for code in names)
+            and set(years.tolist()) <= deflator.values.keys()
+            and (keys[1:] != keys[:-1]).all()
+            and ((0 < population) & (population < np.inf) & (0 < gdp)
+                 & (gdp < np.inf) & (0 <= debt) & (debt < np.inf)).all()):
+        raise ValueError("a row breaks a rule")  # NaN compares false
+    return RecordColumns(names[code_of], table["year"].copy(), gdp, debt,
+                         population, members[group_of])
+
+
 def _ingest_columns(path: "str | Path",
                     deflator: DeflatorSeries) -> "RecordColumns | None":
-    """The panel's records from one columnar pass, or None if a line is off:
-    _ingest_rows, which parses each line alone, then names the first. Bytes
-    that are not UTF-8 also give None, so an earlier bad line still wins."""
-    def distinct(convert, raw: tuple) -> map:  # convert each string once
-        return map({x: convert(x) for x in set(raw)}.__getitem__, raw)
-
-    code, year, group, amounts = [], [], [], []
+    """The panel's records, or None if a line is off: _ingest_rows, which
+    parses each line alone, then names the first. numpy's C reader loadtxt
+    reads the rows if no line holds a character of _NOT_PLAIN or is as long
+    as half csv.field_size_limit() (a field past that limit fails in csv);
+    if one does, or loadtxt or _records fails, _row_fields converts the rows
+    one by one. Bytes that are not UTF-8 also give None, so an earlier bad
+    line still wins."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as f:
-            lines = (line for line in f
-                     if line.strip() and not line.strip().startswith("#"))
-            header = next(csv.reader(islice(lines, 1)), [])
-            if [h.strip() for h in header] != PANEL_HEADER:
+        with open(path, encoding="utf-8-sig") as f:  # lines as _lines splits
+            if not f.seekable():  # a pipe: keep its text, to read it twice
+                f = io.StringIO(f.read())
+            skip, header = next(((n, line) for n, line in enumerate(f, 1)
+                                 if _is_row(line)), (0, ""))
+            if [h.strip() for h in next(csv.reader([header]))] != PANEL_HEADER:
                 return None
-            while block := list(islice(lines, _BLOCK_ROWS)):
-                rows = list(csv.reader(block))
-                if '"' in "".join(block) or set(map(len, rows)) != {len(header)}:
-                    return None  # a quote could run on into the next line
-                raw = list(zip(*rows))
-                code += distinct(lambda x: x.strip().upper(), raw[0])
-                year += distinct(int, raw[1])
-                group += distinct(lambda x: IncomeGroup(x.strip().upper()),
-                                  raw[5])
-                amounts.append([np.fromiter(map(float, x), float, len(rows))
-                                for x in raw[2:5]])
-    except (ValueError, csv.Error):
+            size = max(1, min(1 << 16, csv.field_size_limit() // 2))
+            # not a blank body, on which loadtxt would warn that it found no row
+            plain = bool((chunk := f.read(size)).strip())
+            while plain and chunk:
+                plain = (("\n" in chunk or len(chunk) < size)
+                         and not any(c in chunk for c in _NOT_PLAIN))
+                chunk = f.read(size)
+            f.seek(0)
+            if plain:
+                with suppress(ValueError):
+                    return _records(np.loadtxt(
+                        islice(f, skip, None), _TABLES["S"], delimiter=",",
+                        comments=None, quotechar=None, ndmin=1), deflator)
+                f.seek(0)
+            return _records(np.array([_row_fields(line) for line in
+                                      islice(f, skip, None) if _is_row(line)],
+                                     _TABLES["U"]), deflator)
+    except (ValueError, OverflowError, csv.Error):  # also bytes not UTF-8
         return None
-    if not (year and all(len(c) == 3 and c.isalpha() for c in set(code))
-            and len(set(zip(code, year))) == len(year)
-            and set(year) <= deflator.values.keys()):
-        return None
-    gdp, debt, population = map(np.concatenate, zip(*amounts))
-    if not ((0 < population) & (population < np.inf) & (0 < gdp)
-            & (gdp < np.inf) & (0 <= debt) & (debt < np.inf)).all():
-        return None  # NaN compares false, as in _check_record
-    return RecordColumns(np.array(code, dtype=object),
-                         np.array(year, dtype=np.int64), gdp, debt,
-                         population, np.array(group, dtype=object))
 
 
 def _ingest_rows(path: "str | Path", deflator: DeflatorSeries) -> RecordColumns:
@@ -346,8 +394,12 @@ def normalize(panel: Panel) -> PanelColumns:
     country and year whose d, g or R is not finite.
     """
     rec = panel.records
-    deflator = np.array([panel.deflator.value(year)
-                         for year in rec.year.tolist()], dtype=float)
+    years, first, inverse = np.unique(rec.year, return_index=True,
+                                      return_inverse=True)
+    # each year looked up once, in row order, so the first missing one raises
+    factor = {year: panel.deflator.value(year)
+              for year in rec.year[np.sort(first)].tolist()}
+    deflator = np.array([factor[year] for year in years.tolist()], float)[inverse]
     with np.errstate(over="ignore"):  # inf, as Python float division gives
         obs = PanelColumns(
             rec.country_code, rec.year,

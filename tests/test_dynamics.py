@@ -125,6 +125,31 @@ def test_local_slope_matches_finite_difference():
         assert dynamics.local_slope(p, d) == pytest.approx(fd, abs=1e-8)
 
 
+@pytest.mark.parametrize("d, expected", [
+    (1e-300, -math.inf), (1e-310, -math.inf), (5e-324, -math.inf),
+    (1e300, -0.0), (1.7e308, -0.0), (math.inf, -0.0)])
+def test_local_slope_limits_where_power_leaves_floats(d, expected):
+    # d**1.5 underflows to 0 or overflows: the slope is its limit, not an error
+    slope = dynamics.local_slope(_params(c=0.05, gamma=0.5), d)
+    assert slope == expected
+    assert math.copysign(1.0, slope) == math.copysign(1.0, expected)
+
+
+def test_local_slope_limits_keep_the_sign_of_c():
+    assert dynamics.local_slope(_params(c=-0.05, gamma=0.5), 1e-310) == math.inf
+    assert str(dynamics.local_slope(_params(c=-0.05, gamma=0.5), 1e300)) == "0.0"
+    for d in (1e-310, 1e300):  # c = 0: the slope is 0 at every d
+        assert dynamics.local_slope(_params(c=0.0, gamma=0.5), d) == 0.0
+    # d**1.5 leaves the floats, but the slope itself is a float
+    assert dynamics.local_slope(_params(c=1e-300, gamma=0.5), 1e-220) == (
+        pytest.approx(-5e29, rel=1e-14))
+    assert dynamics.local_slope(_params(c=1e300, gamma=0.5), 1e300) == (
+        pytest.approx(-5e-151, rel=1e-14))
+    # at ordinary d the closed form is unchanged, bit for bit
+    p = _params(c=0.05, gamma=0.5)
+    assert dynamics.local_slope(p, 0.37) == -0.05 * 0.5 / 0.37 ** 1.5
+
+
 def test_growth_rate_decreases_with_debt_when_gamma_below_one():
     p = _params(gamma=0.7)
     rates = [dynamics.model_growth_rate(p, d)

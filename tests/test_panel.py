@@ -2,18 +2,20 @@
 
 import csv
 import math
+import os
 import string
 import tempfile
+import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from debtkit import errors, panel
+from debtkit import cli, errors, panel
 
 PANEL_HEADER = ("country_code,year,gdp_nominal_usd,debt_nominal_usd,"
                 "population,income_group")
@@ -626,15 +628,78 @@ def test_valid_panel_never_reaches_row_loop(paths, monkeypatch, tmp_path):
             for path in (p, odd)] == expected
 
 
+@pytest.mark.parametrize("body", ["", "\n", "\r\n \r\n", "# only a note\n"])
+def test_header_only_panel_is_empty_without_a_warning(tmp_path, body, capsys):
+    p, d = tmp_path / "panel.csv", tmp_path / "deflator.csv"
+    p.write_text(PANEL_HEADER + "\n" + body, newline="")
+    d.write_text(DEFLATOR_TEXT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's loadtxt warns on no rows
+        assert len(panel.ingest_csv(p, d).records) == 0
+        assert cli.main(["threshold", "--panel", str(p), "--deflator", str(d),
+                         "--out", str(tmp_path / "out")]) == 2
+    assert "panel has no data rows" in capsys.readouterr().err
+
+
+def test_missing_deflator_names_the_first_year_in_row_order(paths):
+    p, d = paths
+    records = panel.ingest_csv(p, d).records
+    years = np.array([2001, 1998, 1997, 2001])  # 1998 and 1997 have no entry
+    hand_built = panel.Panel(panel.RecordColumns(
+        records.country_code, years, *records.columns()[2:]),
+        panel.DeflatorSeries({1999: 0.95, 2000: 1.0, 2001: 1.25}))
+    with pytest.raises(errors.MissingDeflator, match="year 1998"):
+        panel.normalize(hand_built)
+
+
+def test_synth_panel_never_reaches_row_loop(monkeypatch, tmp_path):
+    out = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(out), "--n-countries", "1000",
+                     "--years", "1965:2005", "--seed", "3"]) == 0
+    p, d = out / "panel_synth.csv", out / "deflator_synth.csv"
+    assert p.read_text().startswith("# debtkit ")  # the CLI's own stamp
+    expected = _column_bits(panel._ingest_rows(p, panel._parse_deflator_csv(d)))
+
+    def row_loop(*args):
+        raise AssertionError("a panel written by synth fell back to the row loop")
+
+    monkeypatch.setattr(panel, "_ingest_rows", row_loop)
+    records = panel.ingest_csv(p, d).records
+    assert len(records) == 1000 * 41
+    assert _column_bits(records) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_panel_from_a_pipe_is_read_in_one_pass(paths, tmp_path):
+    p, d = paths
+    fifo = tmp_path / "panel.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(PANEL_TEXT,))
+    writer.start()
+    try:  # a pipe is read once: the columnar pass must not need to seek
+        records = panel._ingest_columns(fifo, panel._parse_deflator_csv(d))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert records is not None
+    assert _column_bits(records) == _column_bits(panel.ingest_csv(p, d).records)
+
+
 # rewrites of one field, and whole values, that both paths must read alike
 _ODD_FIELDS = [
     lambda f: f'"{f}"', lambda f: f'"{f}', lambda f: f'{f[:1]}"{f[1:]}',
     lambda f: f" {f} ", lambda f: f"\t{f}", str.lower, lambda f: f + "\x00",
     "1_000", " 7 ", "nan", "inf", "-0.0", "2_000", " 2001 ", str(2 ** 64),
-    str(-2 ** 63 - 1), "1" * 200_000, ""]
+    str(-2 ** 63 - 1), "1" * 200_000, "",
+    # where numpy's C reader and Python's int, float and csv part ways
+    lambda f: f[:1] + "\x00" + f[1:], "ÄBC", "ĀBC", "١٩٧٠", "1__0", "_1", "1_",
+    "1_e5", "+2000", "0x10", "1e400", lambda f: f"\xa0{f}\xa0",
+    lambda f: f"\x0c{f}\x0c", lambda f: f"{f}\x1c", lambda f: f"{f:^20}",
+    lambda f: f"{f:<12}x", "0" * 140_000 + "7"]
 
 # lines that are not rows: blanks and comments
-_FILLERS = ["", "   ", "\t", "# note", "  # indented, note", '# "unclosed']
+_FILLERS = ["", "   ", "\t", "# note", "  # indented, note", '# "unclosed',
+            "\x0c", "\xa0# after a no-break space"]
 
 _HEADERS = [",".join(panel.PANEL_HEADER),
             " country_code , year,gdp_nominal_usd,debt_nominal_usd,"
@@ -677,15 +742,33 @@ def test_columnar_pass_equals_row_loop(data, tmp_path_factory):
     p.write_text(text, encoding="utf-8", newline="")
     d.write_text(DEFLATOR_TEXT)
     deflator = panel._parse_deflator_csv(d)
-    # small blocks, so that rows and quotes also meet at block edges
-    with mock.patch.object(panel, "_BLOCK_ROWS", draw(st.integers(1, 4))):
-        rows_outcome = _ingested(lambda: panel._ingest_rows(p, deflator))
-        assert _ingested(lambda: panel.ingest_csv(p, d).records) == rows_outcome
-        columns = panel._ingest_columns(p, deflator)
+    rows_outcome = _ingested(lambda: panel._ingest_rows(p, deflator))
+    assert _ingested(lambda: panel.ingest_csv(p, d).records) == rows_outcome
+    columns = panel._ingest_columns(p, deflator)
     if isinstance(rows_outcome, tuple):  # the row loop raised
         assert columns is None
     elif not any('"' in line for line in lines[1:]
                  if line.strip() and not line.strip().startswith("#")):
+        assert _column_bits(columns) == rows_outcome  # no needless fallback
+
+
+@pytest.mark.parametrize("column", range(6))
+@pytest.mark.parametrize("index", range(len(_ODD_FIELDS)))
+def test_each_odd_field_reads_as_in_the_row_loop(index, column, tmp_path):
+    odd = _ODD_FIELDS[index]
+    rows = [["AAA", "2000", "1.5", "0.5", "10.0", "LOW"],
+            ["BBB", "2001", "2.5", "1e3", "7", "HIGH"]]
+    rows[1][column] = odd if isinstance(odd, str) else odd(rows[1][column])
+    p, d = tmp_path / "panel.csv", tmp_path / "deflator.csv"
+    p.write_text("\n".join([PANEL_HEADER, *map(",".join, rows), ""]),
+                 encoding="utf-8", newline="")
+    d.write_text(DEFLATOR_TEXT)
+    deflator = panel._parse_deflator_csv(d)
+    rows_outcome = _ingested(lambda: panel._ingest_rows(p, deflator))
+    columns = panel._ingest_columns(p, deflator)
+    if isinstance(rows_outcome, tuple):  # the row loop raised
+        assert columns is None
+    elif '"' not in rows[1][column]:
         assert _column_bits(columns) == rows_outcome  # no needless fallback
 
 
