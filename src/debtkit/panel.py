@@ -17,11 +17,11 @@ import csv
 import io
 import math
 import re
-from contextlib import suppress
+import warnings
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -39,15 +39,9 @@ YEARS = range(-2 ** 63, 2 ** 63)  # years are stored as int64 columns
 MAX_YEAR_SPAN = 10_000  # most years a flag range or a synthetic panel spans
 _WRITE_ROWS = 8192  # rows per block in write_table; 1024 was slower, 65536 no faster
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes of a bad byte
-# what numpy's loadtxt reads unlike Python: a string field loses a trailing
-# NUL, and \x1c-\x1f are space around a number
-_NOT_PLAIN = "\x00\x1c\x1d\x1e\x1f"
-_WIDTH = 8  # characters of a code or group field in a table of _TABLES
-# the panel's fields as loadtxt reads plain rows (S) and _row_fields gives (U)
-_TABLES = {kind: np.dtype([
-    ("country_code", f"{kind}{_WIDTH}"), ("year", np.int64),
-    ("gdp_nominal", float), ("debt_nominal", float), ("population", float),
-    ("income_group", f"{kind}{_WIDTH}")]) for kind in "SU"}
+_WIDTH = 8  # bytes of a code or group as loadtxt reads them; longer is cut
+_TABLE = np.dtype(f"S{_WIDTH},i8,f8,f8,f8,S{_WIDTH}")  # a panel row, for loadtxt
+_PANEL_TYPES = (str, int, float, float, float, str)  # a panel row, for _split
 
 # Per-capita amounts are expressed in thousands of base-year USD per person.
 _THOUSAND = 1e3
@@ -206,54 +200,62 @@ class PanelColumns(_Columns):
         return YearIndex(tuple(codes), rank, order, rows)
 
 
-def _split(line_no: int, line: str) -> list[str]:
+def _open(path: "str | Path"):
+    """path's text, lines kept whole with their ends, a leading byte-order
+    mark dropped and a byte that is not UTF-8 as a surrogate; a file that
+    cannot seek, such as a named pipe, is read into memory, to read twice."""
+    f = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
+    if f.seekable():
+        return f
+    with f:
+        return io.StringIO(f.read(), newline="")
+
+
+def _split(line_no: int, line: str, types: "tuple | None" = None) -> list:
+    """A line's fields, field i converted by types[i] if types are given;
+    MalformedRow naming line_no if csv, the field count or a type fails."""
     try:  # csv.Error: a field over csv.field_size_limit(), for example
-        return next(csv.reader([line]))
+        row = next(csv.reader([line]))
     except csv.Error as exc:
+        raise MalformedRow(str(exc), line=line_no) from None
+    if types is not None and len(row) != len(types):
+        raise MalformedRow(f"expected {len(types)} fields, got {len(row)}",
+                           line=line_no)
+    try:
+        return row if types is None else [f(x) for f, x in zip(types, row)]
+    except ValueError as exc:
         raise MalformedRow(str(exc), line=line_no) from None
 
 
 def _lines(path: "str | Path", f):
-    """(line_no, line) for each line of f, which is opened with
-    errors="surrogateescape": a byte that is not UTF-8 decodes to a
-    surrogate, and raises MalformedRow naming its line."""
+    """(line_no, line) for each data line of f from _open, skipping blank
+    and # lines; a byte that is not UTF-8, which _open decodes to a
+    surrogate, raises MalformedRow naming its line, on any line."""
     for n, line in enumerate(f, 1):
         if _NOT_UTF8.search(line):
             raise MalformedRow(f"{path}: not UTF-8 text", line=n)
-        yield n, line
+        if line.strip() and not line.strip().startswith("#"):
+            yield n, line
 
 
-def _is_row(line: str) -> bool:
-    """True for a data line: one neither blank nor a # comment."""
-    return bool(line.strip()) and not line.strip().startswith("#")
-
-
-def read_table(path: "str | Path", header: list[str], types: tuple):
+def read_table(path: "str | Path", header: list[str], types: tuple, f=None):
     """Yield (line_no, fields) per data row, skipping blank and # lines.
 
     The first row must match header once trimmed, every later row must have
     as many fields, and field i is converted by types[i]. A leading UTF-8
     byte-order mark is dropped. A fault, such as a byte that is not UTF-8
-    on any line, raises MalformedRow naming its 1-based line.
+    on any line, raises MalformedRow naming its 1-based line. f, if given,
+    is path's text from _open, at its start.
     """
-    with open(path, newline="", encoding="utf-8-sig",
-              errors="surrogateescape") as f:
-        rows = ((n, _split(n, line)) for n, line in _lines(path, f)
-                if _is_row(line))
+    with _open(path) if f is None else nullcontext(f) as f:
+        rows = _lines(path, f)
         first = next(rows, None)
-        if first is None or [h.strip() for h in first[1]] != header:
+        if first is None or [h.strip() for h in _split(*first)] != header:
             raise MalformedRow(
                 f"{path}: expected header {','.join(header)!r}",
                 line=None if first is None else first[0])
-        for line_no, row in rows:
-            if len(row) != len(header):
-                raise MalformedRow(f"expected {len(header)} fields, "
-                                   f"got {len(row)}", line=line_no)
-            try:
-                fields = [convert(x) for convert, x in zip(types, row)]
-            except ValueError as exc:
-                raise MalformedRow(str(exc), line=line_no) from None
-            yield line_no, fields
+        for line_no, line in rows:
+            yield line_no, _split(line_no, line, types)
 
 
 def _parse_deflator_csv(path: Path) -> DeflatorSeries:
@@ -272,86 +274,77 @@ def _parse_deflator_csv(path: Path) -> DeflatorSeries:
     return DeflatorSeries(values=values)
 
 
-def _row_fields(line: str) -> tuple:
-    """A data line's fields as the row loop converts them, code and group
-    stripped; ValueError or csv.Error where the row loop cannot split or
-    convert the line, and on a quote or NUL, which only the row loop reads."""
-    row = next(csv.reader([line]))
-    if len(row) != len(PANEL_HEADER) or '"' in line or "\x00" in line:
-        raise ValueError("not a plain panel row")
-    code, year, *amounts, group = row
-    return code.strip(), int(year), *map(float, amounts), group.strip()
-
-
-def _records(table: np.ndarray, deflator: DeflatorSeries) -> RecordColumns:
-    """The records of a table of _TABLES; ValueError if a row breaks a rule
-    or a code or group is as wide as its field, so may have been cut."""
+def _records(columns: list, deflator: DeflatorSeries) -> "RecordColumns | None":
+    """The records of a panel's columns, or None if a row breaks a rule;
+    ValueError if a code or group of bytes is not ASCII or fills _WIDTH."""
+    code, year, gdp, debt, population, group = columns
     (codes, code_of), (groups, group_of), (years, year_of) = (
-        np.unique(table[name], return_inverse=True)
-        for name in ("country_code", "income_group", "year"))
+        np.unique(column, return_inverse=True) for column in (code, group, year))
     codes, groups = codes.astype(str).tolist(), groups.astype(str).tolist()
+    if code.dtype.kind == "S" and max(map(len, codes + groups)) >= _WIDTH:
+        raise ValueError("a code or group may have been cut")
     names = np.array([code.strip().upper() for code in codes], object)
-    members = np.array([IncomeGroup(group.strip().upper()) for group in groups],
-                       object)
+    member = {group.value: group for group in IncomeGroup}.get
+    members = np.array([member(g.strip().upper()) for g in groups], object)
     # one key per country-year, where " usa" and "USA" are one country
     keys = np.sort(np.unique(names, return_inverse=True)[1][code_of]
                    * len(years) + year_of)
-    gdp, debt, population = (table[name].copy() for name in
-                             ("gdp_nominal", "debt_nominal", "population"))
-    if not (max(map(len, codes + groups), default=0) < _WIDTH
-            and all(len(code) == 3 and code.isalpha() for code in names)
+    if not (all(len(code) == 3 and code.isalpha() for code in names)
+            and None not in members.tolist()
             and set(years.tolist()) <= deflator.values.keys()
             and (keys[1:] != keys[:-1]).all()
             and ((0 < population) & (population < np.inf) & (0 < gdp)
                  & (gdp < np.inf) & (0 <= debt) & (debt < np.inf)).all()):
-        raise ValueError("a row breaks a rule")  # NaN compares false
-    return RecordColumns(names[code_of], table["year"].copy(), gdp, debt,
-                         population, members[group_of])
+        return None  # NaN compares false, as in _check_record
+    return RecordColumns(names[code_of], *(column.copy() for column in
+                         (year, gdp, debt, population)), members[group_of])
 
 
-def _ingest_columns(path: "str | Path",
-                    deflator: DeflatorSeries) -> "RecordColumns | None":
-    """The panel's records, or None if a line is off: _ingest_rows, which
-    parses each line alone, then names the first. numpy's C reader loadtxt
-    reads the rows if no line holds a character of _NOT_PLAIN or is as long
-    as half csv.field_size_limit() (a field past that limit fails in csv);
-    if one does, or loadtxt or _records fails, _row_fields converts the rows
-    one by one. Bytes that are not UTF-8 also give None, so an earlier bad
-    line still wins."""
+def _ingest_columns(path: "str | Path", deflator: DeflatorSeries,
+                    f=None) -> "RecordColumns | None":
+    """The panel's records, or None if a line is off or holds a NUL:
+    _ingest_rows then names the first. loadtxt reads the rows unless a line
+    holds \\x1c-\\x1f, space to it alone, or is as long as half
+    csv.field_size_limit(), past which csv fails; then, or if loadtxt warns
+    or fails or _records raises, _split converts each line as the row loop
+    does. loadtxt keeps quotes, so a quoted row breaks a rule and gives None.
+    f, if given, is path's text from _open, at its start."""
+    size, plain = max(1, min(1 << 16, csv.field_size_limit() // 2)), True
     try:
-        with open(path, encoding="utf-8-sig") as f:  # lines as _lines splits
-            if not f.seekable():  # a pipe: keep its text, to read it twice
-                f = io.StringIO(f.read())
-            skip, header = next(((n, line) for n, line in enumerate(f, 1)
-                                 if _is_row(line)), (0, ""))
-            if [h.strip() for h in next(csv.reader([header]))] != PANEL_HEADER:
-                return None
-            size = max(1, min(1 << 16, csv.field_size_limit() // 2))
-            # not a blank body, on which loadtxt would warn that it found no row
-            plain = bool((chunk := f.read(size)).strip())
-            while plain and chunk:
-                plain = (("\n" in chunk or len(chunk) < size)
-                         and not any(c in chunk for c in _NOT_PLAIN))
-                chunk = f.read(size)
+        with _open(path) if f is None else nullcontext(f) as f:
+            while chunk := f.read(size):
+                # loadtxt drops a trailing NUL; the row loop names a bad byte
+                if "\0" in chunk or (not chunk.isascii()
+                                     and _NOT_UTF8.search(chunk)):
+                    return None
+                plain &= not any(c in chunk for c in "\x1c\x1d\x1e\x1f") and (
+                    len(chunk) < size or "\n" in chunk or "\r" in chunk)
             f.seek(0)
-            if plain:
-                with suppress(ValueError):
-                    return _records(np.loadtxt(
-                        islice(f, skip, None), _TABLES["S"], delimiter=",",
-                        comments=None, quotechar=None, ndmin=1), deflator)
-                f.seek(0)
-            return _records(np.array([_row_fields(line) for line in
-                                      islice(f, skip, None) if _is_row(line)],
-                                     _TABLES["U"]), deflator)
-    except (ValueError, OverflowError, csv.Error):  # also bytes not UTF-8
+            lines = _lines(path, f)
+            header = _split(*next(lines, (0, "")))
+            if [h.strip() for h in header] != PANEL_HEADER:
+                return None
+            with suppress(ValueError, Warning), warnings.catch_warnings():
+                # loadtxt warns on no rows; numpy 1.x reads an int via float
+                warnings.simplefilter("error")
+                if plain:
+                    table = np.loadtxt(f, _TABLE, delimiter=",", comments=None,
+                                       quotechar=None, ndmin=1)
+                    return _records([table[n] for n in _TABLE.names], deflator)
+            f.seek(0)
+            return _records(RecordColumns.from_rows(
+                _split(n, line, _PANEL_TYPES) for n, line in
+                list(_lines(path, f))[1:]).columns(), deflator)
+    except (ValueError, OverflowError, MalformedRow):
         return None
 
 
-def _ingest_rows(path: "str | Path", deflator: DeflatorSeries) -> RecordColumns:
+def _ingest_rows(path: "str | Path", deflator: DeflatorSeries,
+                 f=None) -> RecordColumns:
     """The panel's records, checked row by row: the first bad line raises."""
     records: list[tuple] = []
     seen: set[tuple[str, int]] = set()
-    rows = read_table(path, PANEL_HEADER, (str, int, float, float, float, str))
+    rows = read_table(path, PANEL_HEADER, _PANEL_TYPES, f)
     for line_no, (code, year, gdp, debt, population, group) in rows:
         code = code.strip().upper()
         try:
@@ -379,9 +372,11 @@ def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
     exception message names the offending 1-based line number.
     """
     deflator = _parse_deflator_csv(Path(deflator_path))
-    records = _ingest_columns(path, deflator)
-    if records is None:  # some line is off: the row loop names the first
-        records = _ingest_rows(path, deflator)
+    with _open(path) as f:
+        records = _ingest_columns(path, deflator, f)
+        if records is None:  # some line is off: the row loop names the first
+            f.seek(0)
+            records = _ingest_rows(path, deflator, f)
     return Panel(records=records, deflator=deflator)
 
 

@@ -685,6 +685,47 @@ def test_panel_from_a_pipe_is_read_in_one_pass(paths, tmp_path):
     assert _column_bits(records) == _column_bits(panel.ingest_csv(p, d).records)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("text, line", [
+    (PANEL_TEXT.replace(",HIGH\n", ',"HIGH"\n'), None),  # the row loop reads it
+    (PANEL_TEXT.replace("BRA,2001", "BRA,2001.5"), 5),
+    (PANEL_TEXT.replace("USA,2001", "USA,2000"), 3)])
+def test_pipe_reaches_the_row_loop_with_its_text(paths, tmp_path, text, line):
+    p, d = paths
+    fifo = tmp_path / "panel.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:  # the row loop reads the text the columnar pass took from the pipe
+        outcome = _ingested(lambda: panel.ingest_csv(fifo, d).records)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    p.write_text(text)
+    assert outcome == _ingested(lambda: panel.ingest_csv(p, d).records)
+    assert (outcome[2] if isinstance(outcome, tuple) else None) == line
+
+
+def test_int_read_through_float_with_a_warning_falls_back(paths, monkeypatch):
+    # numpy 1.x's loadtxt reads "2001.0" into an int64 field through float
+    # and only warns; int() rejects it, so the columnar pass must not return
+    p, d = paths
+    p.write_text(PANEL_TEXT.replace("BRA,2001", "BRA,2001.0"))
+    deflator, loadtxt, calls = panel._parse_deflator_csv(d), np.loadtxt, []
+
+    def numpy_1(lines, dtype, **kwargs):
+        calls.append(dtype)
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning)
+        return loadtxt([line.replace("2001.0", "2001") for line in lines],
+                       dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", numpy_1)
+    assert panel._ingest_columns(p, deflator) is None and calls
+    with pytest.raises(errors.MalformedRow, match="line 5: .*2001.0"):
+        panel.ingest_csv(p, d)
+
+
 # rewrites of one field, and whole values, that both paths must read alike
 _ODD_FIELDS = [
     lambda f: f'"{f}"', lambda f: f'"{f}', lambda f: f'{f[:1]}"{f[1:]}',
@@ -695,7 +736,9 @@ _ODD_FIELDS = [
     lambda f: f[:1] + "\x00" + f[1:], "ÄBC", "ĀBC", "١٩٧٠", "1__0", "_1", "1_",
     "1_e5", "+2000", "0x10", "1e400", lambda f: f"\xa0{f}\xa0",
     lambda f: f"\x0c{f}\x0c", lambda f: f"{f}\x1c", lambda f: f"{f:^20}",
-    lambda f: f"{f:<12}x", "0" * 140_000 + "7"]
+    lambda f: f"{f:<12}x", "0" * 140_000 + "7",
+    # an int that numpy 1.x's loadtxt reads through float, where int() fails
+    "2001.0", "2e3"]
 
 # lines that are not rows: blanks and comments
 _FILLERS = ["", "   ", "\t", "# note", "  # indented, note", '# "unclosed',
