@@ -133,10 +133,17 @@ def step_debt(params: BudgetParams) -> np.ndarray:
 
 
 def model_growth_rate(params: ModelParams, d: float) -> float:
-    """Per-year log growth rate r_d(d) = c * d**(gamma-1) - r_pop."""
+    """Per-year log growth rate r_d(d) = c * d**(gamma-1) - r_pop.
+
+    Where d**(gamma-1) overflows, as at a subnormal d, the rate term is
+    c * inf, or 0 with c = 0, as in simulate_model.
+    """
     if d <= 0:
         raise NonPositiveDebt(f"debt must be > 0, got {d!r}")
-    return params.c * d ** (params.gamma - 1.0) - params.r_pop
+    try:
+        return params.c * d ** (params.gamma - 1.0) - params.r_pop
+    except OverflowError:
+        return (params.c * math.inf if params.c else 0.0) - params.r_pop
 
 
 def local_slope(params: ModelParams, d: float) -> float:

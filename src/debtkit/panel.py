@@ -63,21 +63,6 @@ class Variable(Enum):
     RATIO_R = "R"
 
 
-def _check_record(code: str, year: int, gdp: float, debt: float,
-                  population: float, line: "int | None" = None) -> None:
-    """Raise if one panel row breaks a value rule; line is its CSV line."""
-    if len(code) != 3 or not code.isalpha():
-        raise MalformedRow(f"country_code {code!r} is not a 3-letter code",
-                           line=line)
-    # chained comparisons are false for NaN, so they reject it too
-    for name, ok, rule in (("population", 0 < population < math.inf, "> 0"),
-                           ("gdp_nominal", 0 < gdp < math.inf, "> 0"),
-                           ("debt_nominal", 0 <= debt < math.inf, ">= 0")):
-        if not ok:
-            raise NonPositive(f"{code} {year}: {name} must be finite and "
-                              f"{rule}", line=line)
-
-
 @dataclass(frozen=True)
 class DeflatorSeries:
     """Price index mapping year -> deflator, with the base year pinned to 1.0."""
@@ -228,13 +213,14 @@ def _split(line_no: int, line: str, types: "tuple | None" = None) -> list:
 
 
 def _lines(path: "str | Path", f):
-    """(line_no, line) for each data line of f from _open, skipping blank
-    and # lines; a byte that is not UTF-8, which _open decodes to a
-    surrogate, raises MalformedRow naming its line, on any line."""
+    """(line_no, line) for each data line of f from _open, read from its
+    start, skipping blank and # lines; a byte that is not UTF-8, which _open
+    decodes to a surrogate, raises MalformedRow naming its line, on any line."""
+    f.seek(0)
     for n, line in enumerate(f, 1):
-        if _NOT_UTF8.search(line):
+        if not line.isascii() and _NOT_UTF8.search(line):
             raise MalformedRow(f"{path}: not UTF-8 text", line=n)
-        if line.strip() and not line.strip().startswith("#"):
+        if (text := line.strip()) and not text.startswith("#"):
             yield n, line
 
 
@@ -245,7 +231,7 @@ def read_table(path: "str | Path", header: list[str], types: tuple, f=None):
     as many fields, and field i is converted by types[i]. A leading UTF-8
     byte-order mark is dropped. A fault, such as a byte that is not UTF-8
     on any line, raises MalformedRow naming its 1-based line. f, if given,
-    is path's text from _open, at its start.
+    is path's text from _open.
     """
     with _open(path) if f is None else nullcontext(f) as f:
         rows = _lines(path, f)
@@ -274,95 +260,100 @@ def _parse_deflator_csv(path: Path) -> DeflatorSeries:
     return DeflatorSeries(values=values)
 
 
-def _records(columns: list, deflator: DeflatorSeries) -> "RecordColumns | None":
-    """The records of a panel's columns, or None if a row breaks a rule;
-    ValueError if a code or group of bytes is not ASCII or fills _WIDTH."""
+def _check_rows(names, name_of, years, year_of, population, gdp, debt,
+                group=None, deflator: "DeflatorSeries | None" = None,
+                line=lambda row: None):
+    """Raise what a row loop raises at the first row that breaks a rule, a
+    row taking them in order: income group, duplicate country-year, deflator
+    year, 3-letter code, then population, gdp and debt finite and > 0 (debt
+    >= 0). A row's code is names[name_of[row]] and its year
+    years[year_of[row]], each distinct if deflator is given; group is
+    (spellings, members, group_of), a member None for no group. Only once a
+    rule fails are its rows, and line(row), the CSV line, found."""
+    broken = []  # (mask of the rows that break a rule, error, message)
+
+    def rule(bad, of, error, message):  # of maps rows to bad's entries
+        if (bad := np.asarray(bad, bool)).any():
+            broken.append((bad if of is None else bad[of], error, message))
+
+    if group is not None:
+        spellings, members, group_of = group
+        rule([m is None for m in members], group_of, MalformedRow,
+             "income_group {group!r} not one of LOW/MEDIUM/HIGH")
+    if deflator is not None:
+        # one key per country-year, where " usa" and "USA" are one country
+        key = (np.unique(names, return_inverse=True)[1][name_of] * len(years)
+               + year_of)
+        ordered = np.sort(key)
+        if (ordered[1:] == ordered[:-1]).any():  # some row repeats a key
+            repeat = np.ones(len(key), bool)
+            repeat[np.unique(key, return_index=True)[1]] = False
+            rule(repeat, None, DuplicateKey,
+                 "duplicate country-year ({code!r}, {year})")
+        rule([y not in deflator.values for y in years.tolist()], year_of,
+             MissingDeflator, "no deflator entry for year {year}")
+    rule([len(c) != 3 or not c.isalpha() for c in names], name_of,
+         MalformedRow, "country_code {code!r} is not a 3-letter code")
+    for name, ok, bound in (  # NaN compares false, so it breaks these rules
+            ("population", lambda: (0 < population) & (population < np.inf), "> 0"),
+            ("gdp_nominal", lambda: (0 < gdp) & (gdp < np.inf), "> 0"),
+            ("debt_nominal", lambda: (0 <= debt) & (debt < np.inf), ">= 0")):
+        rule(np.broadcast_to(~np.asarray(ok(), bool), len(name_of)), None,
+             NonPositive, f"{{code}} {{year}}: {name} must be finite and {bound}")
+    if broken:
+        row = min(int(mask.argmax()) for mask, *_ in broken)
+        error, message = next((e, m) for mask, e, m in broken if mask[row])
+        raise error(message.format(
+            code=names[name_of[row]], year=int(years[year_of[row]]),
+            group=spellings[group_of[row]] if group else None), line=line(row))
+
+
+def _records(columns: list, deflator: DeflatorSeries, path, f) -> RecordColumns:
+    """The records of a panel's columns read from f, path's text from _open,
+    if they keep the rules. ValueError if a code or group of bytes is not
+    ASCII or fills _WIDTH, so may be cut, or a code starts with "#", so is a
+    comment line that loadtxt read as a row."""
     code, year, gdp, debt, population, group = columns
     (codes, code_of), (groups, group_of), (years, year_of) = (
         np.unique(column, return_inverse=True) for column in (code, group, year))
-    codes, groups = codes.astype(str).tolist(), groups.astype(str).tolist()
-    if code.dtype.kind == "S" and max(map(len, codes + groups)) >= _WIDTH:
-        raise ValueError("a code or group may have been cut")
+    # numpy's str dtype drops a trailing NUL, so an object column is kept
+    codes, groups = ((values.astype(str) if values.dtype.kind == "S"
+                      else values).tolist() for values in (codes, groups))
     names = np.array([code.strip().upper() for code in codes], object)
+    if code.dtype.kind == "S" and (max(map(len, codes + groups)) >= _WIDTH
+                                   or any(n.startswith("#") for n in names)):
+        raise ValueError("a code or group may have been cut, or is a comment")
     member = {group.value: group for group in IncomeGroup}.get
     members = np.array([member(g.strip().upper()) for g in groups], object)
-    # one key per country-year, where " usa" and "USA" are one country
-    keys = np.sort(np.unique(names, return_inverse=True)[1][code_of]
-                   * len(years) + year_of)
-    if not (all(len(code) == 3 and code.isalpha() for code in names)
-            and None not in members.tolist()
-            and set(years.tolist()) <= deflator.values.keys()
-            and (keys[1:] != keys[:-1]).all()
-            and ((0 < population) & (population < np.inf) & (0 < gdp)
-                 & (gdp < np.inf) & (0 <= debt) & (debt < np.inf)).all()):
-        return None  # NaN compares false, as in _check_record
-    return RecordColumns(names[code_of], *(column.copy() for column in
-                         (year, gdp, debt, population)), members[group_of])
+    _check_rows(names, code_of, years, year_of, population, gdp, debt,
+                (groups, members, group_of), deflator, lambda row: next(
+                    n for i, (n, _) in enumerate(_lines(path, f)) if i > row))
+    return RecordColumns(names[code_of], year.astype(np.int64), gdp.copy(),
+                         debt.copy(), population.copy(), members[group_of])
 
 
-def _ingest_columns(path: "str | Path", deflator: DeflatorSeries,
-                    f=None) -> "RecordColumns | None":
-    """The panel's records, or None if a line is off or holds a NUL:
-    _ingest_rows then names the first. loadtxt reads the rows unless a line
-    holds \\x1c-\\x1f, space to it alone, or is as long as half
-    csv.field_size_limit(), past which csv fails; then, or if loadtxt warns
-    or fails or _records raises, _split converts each line as the row loop
-    does. loadtxt keeps quotes, so a quoted row breaks a rule and gives None.
-    f, if given, is path's text from _open, at its start."""
-    size, plain = max(1, min(1 << 16, csv.field_size_limit() // 2)), True
-    try:
-        with _open(path) if f is None else nullcontext(f) as f:
-            while chunk := f.read(size):
-                # loadtxt drops a trailing NUL; the row loop names a bad byte
-                if "\0" in chunk or (not chunk.isascii()
-                                     and _NOT_UTF8.search(chunk)):
-                    return None
-                plain &= not any(c in chunk for c in "\x1c\x1d\x1e\x1f") and (
-                    len(chunk) < size or "\n" in chunk or "\r" in chunk)
-            f.seek(0)
-            lines = _lines(path, f)
-            header = _split(*next(lines, (0, "")))
-            if [h.strip() for h in header] != PANEL_HEADER:
-                return None
-            with suppress(ValueError, Warning), warnings.catch_warnings():
-                # loadtxt warns on no rows; numpy 1.x reads an int via float
-                warnings.simplefilter("error")
-                if plain:
-                    table = np.loadtxt(f, _TABLE, delimiter=",", comments=None,
-                                       quotechar=None, ndmin=1)
-                    return _records([table[n] for n in _TABLE.names], deflator)
-            f.seek(0)
-            return _records(RecordColumns.from_rows(
-                _split(n, line, _PANEL_TYPES) for n, line in
-                list(_lines(path, f))[1:]).columns(), deflator)
-    except (ValueError, OverflowError, MalformedRow):
-        return None
-
-
-def _ingest_rows(path: "str | Path", deflator: DeflatorSeries,
-                 f=None) -> RecordColumns:
-    """The panel's records, checked row by row: the first bad line raises."""
-    records: list[tuple] = []
-    seen: set[tuple[str, int]] = set()
-    rows = read_table(path, PANEL_HEADER, _PANEL_TYPES, f)
-    for line_no, (code, year, gdp, debt, population, group) in rows:
-        code = code.strip().upper()
-        try:
-            group = IncomeGroup(group.strip().upper())
-        except ValueError:
-            raise MalformedRow(
-                f"income_group {group!r} not one of LOW/MEDIUM/HIGH",
-                line=line_no) from None
-        key = (code, year)
-        if key in seen:
-            raise DuplicateKey(f"duplicate country-year {key}", line=line_no)
-        seen.add(key)
-        if year not in deflator.values:
-            raise MissingDeflator(f"no deflator entry for year {year}",
-                                  line=line_no)
-        _check_record(code, year, gdp, debt, population, line=line_no)
-        records.append((code, year, gdp, debt, population, group))
-    return RecordColumns.from_rows(records)
+def _read_table(path: "str | Path", f) -> list:
+    """The panel's columns as numpy's C text reader reads f, path's text
+    from _open; ValueError or a warning where loadtxt fails or may read
+    them otherwise than read_table: it keeps a quote, drops a NUL at the end
+    of a field, takes \\x1c-\\x1f for space and reads a field longer than
+    csv.field_size_limit(), so a line holding any of them, or as long as
+    half that limit, or a byte that is not UTF-8, is not for it."""
+    size = max(1, min(1 << 16, csv.field_size_limit() // 2))
+    while chunk := f.read(size):
+        if (any(c in chunk for c in '"\0\x1c\x1d\x1e\x1f')
+                or len(chunk) == size and "\n" not in chunk and "\r" not in chunk
+                or not chunk.isascii() and _NOT_UTF8.search(chunk)):
+            raise ValueError("a line is not plain")
+    header = _split(*next(_lines(path, f), (0, "")))
+    if [h.strip() for h in header] != PANEL_HEADER:
+        raise ValueError("no panel header")
+    with warnings.catch_warnings():
+        # loadtxt warns on no rows; numpy 1.x reads an int via float
+        warnings.simplefilter("error")
+        table = np.loadtxt(f, _TABLE, delimiter=",", comments=None,
+                           quotechar=None, ndmin=1)
+    return [table[name] for name in _TABLE.names]
 
 
 def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
@@ -373,10 +364,22 @@ def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
     """
     deflator = _parse_deflator_csv(Path(deflator_path))
     with _open(path) as f:
-        records = _ingest_columns(path, deflator, f)
-        if records is None:  # some line is off: the row loop names the first
-            f.seek(0)
-            records = _ingest_rows(path, deflator, f)
+        with suppress(ValueError, Warning):  # else convert it line by line
+            return Panel(_records(_read_table(path, f), deflator, path, f),
+                         deflator)
+        rows, fault = [], None
+        try:
+            for _, row in read_table(path, PANEL_HEADER, _PANEL_TYPES, f):
+                rows.append(row)
+        except MalformedRow as exc:  # raised once the rows before it pass
+            fault = exc
+        # years stay Python ints until the rules pass: one may not fit int64
+        columns = list(zip(*rows)) or [()] * len(_PANEL_TYPES)
+        records = _records([np.array(column, float if t is float else object)
+                            for column, t in zip(columns, _PANEL_TYPES)],
+                           deflator, path, f)
+    if fault is not None:
+        raise fault
     return Panel(records=records, deflator=deflator)
 
 
@@ -440,9 +443,12 @@ def records_from_observations(obs: PanelColumns,
     with np.errstate(over="ignore"):  # inf, which the row rules reject
         gdp = obs.g * _THOUSAND * population
         debt = obs.d * _THOUSAND * population
-    for row in zip(obs.country_code.tolist(), obs.year.tolist(), gdp.tolist(),
-                   debt.tolist()):
-        _check_record(*row, population)
+    codes = obs.country_code.tolist()
+    names = list(dict.fromkeys(codes))  # distinct, first seen first
+    name_of = np.fromiter(map({c: i for i, c in enumerate(names)}.get, codes),
+                          np.intp, len(codes))
+    _check_rows(names, name_of, obs.year, np.arange(len(obs)), population,
+                gdp, debt)
     return RecordColumns(obs.country_code, obs.year, gdp, debt,
                          np.full(len(obs), population), obs.income_group)
 

@@ -150,6 +150,26 @@ def test_local_slope_limits_keep_the_sign_of_c():
     assert dynamics.local_slope(p, 0.37) == -0.05 * 0.5 / 0.37 ** 1.5
 
 
+@pytest.mark.parametrize("c, r_pop, expected", [
+    (0.05, 0.01, math.inf), (-0.05, 0.01, -math.inf), (0.0, 0.01, -0.01),
+    (0.0, 0.0, 0.0), (0.0, -0.02, 0.02)])
+def test_growth_rate_where_power_overflows(c, r_pop, expected):
+    # d**(gamma-1) is past the floats: the rate is its limit, not an error
+    for d in (5e-324, 1e-320):
+        rate = dynamics.model_growth_rate(_params(c=c, gamma=0.01, r_pop=r_pop),
+                                          d)
+        assert rate == expected
+        assert math.copysign(1.0, rate) == math.copysign(1.0, expected)
+    # c = 0 gives what simulate_model's first step takes for the rate
+    if c == 0.0:
+        path = dynamics.simulate_model(_params(c=c, gamma=0.01, r_pop=r_pop,
+                                               d0=5e-324, horizon=1e-3))
+        assert path.d_values[1] == math.exp(math.log(5e-324) + 1e-3 * expected)
+    # at ordinary d the rate is unchanged, bit for bit
+    p = _params(c=c, gamma=0.01, r_pop=r_pop)
+    assert dynamics.model_growth_rate(p, 0.37) == c * 0.37 ** -0.99 - r_pop
+
+
 def test_growth_rate_decreases_with_debt_when_gamma_below_one():
     p = _params(gamma=0.7)
     rates = [dynamics.model_growth_rate(p, d)

@@ -8,6 +8,7 @@ import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debtkit import cli, errors, panel
+from debtkit.errors import DuplicateKey, MalformedRow, MissingDeflator, NonPositive
+from debtkit.panel import _PANEL_TYPES, IncomeGroup, RecordColumns, read_table
 
 PANEL_HEADER = ("country_code,year,gdp_nominal_usd,debt_nominal_usd,"
                 "population,income_group")
@@ -586,7 +589,77 @@ def test_ingest_names_first_corrupted_line(data, tmp_path_factory):
     assert info.value.line == first_bad + 2  # the header is line 1
 
 
-# --------------------------------------- columnar pass against the row loop
+# --------------------------------------- ingest_csv against the row loop
+
+def _check_record(code: str, year: int, gdp: float, debt: float,
+                  population: float, line: "int | None" = None) -> None:
+    """Raise if one panel row breaks a value rule; line is its CSV line."""
+    if len(code) != 3 or not code.isalpha():
+        raise MalformedRow(f"country_code {code!r} is not a 3-letter code",
+                           line=line)
+    # chained comparisons are false for NaN, so they reject it too
+    for name, ok, rule in (("population", 0 < population < math.inf, "> 0"),
+                           ("gdp_nominal", 0 < gdp < math.inf, "> 0"),
+                           ("debt_nominal", 0 <= debt < math.inf, ">= 0")):
+        if not ok:
+            raise NonPositive(f"{code} {year}: {name} must be finite and "
+                              f"{rule}", line=line)
+
+
+def _ingest_rows(path: "str | Path", deflator: panel.DeflatorSeries,
+                 f=None) -> RecordColumns:
+    """The panel's records, checked row by row: the first bad line raises.
+    The earlier reader, kept as the oracle that ingest_csv must equal."""
+    records: list[tuple] = []
+    seen: set[tuple[str, int]] = set()
+    rows = read_table(path, panel.PANEL_HEADER, _PANEL_TYPES, f)
+    for line_no, (code, year, gdp, debt, population, group) in rows:
+        code = code.strip().upper()
+        try:
+            group = IncomeGroup(group.strip().upper())
+        except ValueError:
+            raise MalformedRow(
+                f"income_group {group!r} not one of LOW/MEDIUM/HIGH",
+                line=line_no) from None
+        key = (code, year)
+        if key in seen:
+            raise DuplicateKey(f"duplicate country-year {key}", line=line_no)
+        seen.add(key)
+        if year not in deflator.values:
+            raise MissingDeflator(f"no deflator entry for year {year}",
+                                  line=line_no)
+        _check_record(code, year, gdp, debt, population, line=line_no)
+        records.append((code, year, gdp, debt, population, group))
+    return RecordColumns.from_rows(records)
+
+
+# a rewrite of a row's fields per rule that the row then breaks; None: the
+# first row's country-year
+_ROW_FAULTS = {"group": (5, "RICH"), "duplicate": (None, None),
+               "year": (1, "1984"), "code": (0, "A1B"),
+               "population": (4, "0.0"), "gdp": (2, "-1e9"),
+               "debt": (3, "-1.0")}
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+@pytest.mark.parametrize("faults", list(combinations(_ROW_FAULTS, 2)))
+def test_row_breaking_two_rules_raises_the_first(paths, faults, quote):
+    # the row loop's order decides which rule a row with two faults names,
+    # whether loadtxt reads the panel or, past a quote, read_table does
+    p, d = paths
+    rows = [line.split(",") for line in PANEL_TEXT.splitlines()[1:]]
+    for fault in faults:
+        index, value = _ROW_FAULTS[fault]
+        if index is None:
+            rows[-1][:2] = rows[0][:2]
+        else:
+            rows[-1][index] = value
+    rows[0][5] = quote + rows[0][5] + quote
+    p.write_text("\n".join([PANEL_HEADER, *map(",".join, rows), ""]))
+    expected = _ingested(lambda: _ingest_rows(p, panel._parse_deflator_csv(d)))
+    assert expected[2] == 5
+    assert _ingested(lambda: panel.ingest_csv(p, d).records) == expected
+
 
 def _column_bits(records):
     """Each column's dtype and values: floats as hex, objects with their
@@ -612,20 +685,28 @@ _ODD_VALID_PANEL = "\r\n".join([
     "  # indented", "\tbra\t, 2001 ,1e9,1e8,1000.0, Medium ", ""])
 
 
+def _per_line(monkeypatch):
+    """Make read_table fail on the panel, so that only loadtxt can read it."""
+    read_table = panel.read_table
+
+    def deflator_only(path, header, *args):
+        assert header != panel.PANEL_HEADER, "a panel was read line by line"
+        return read_table(path, header, *args)
+
+    monkeypatch.setattr(panel, "read_table", deflator_only)
+
+
 def test_valid_panel_never_reaches_row_loop(paths, monkeypatch, tmp_path):
     p, d = paths
     odd = tmp_path / "odd.csv"
     odd.write_text(_ODD_VALID_PANEL, newline="")
     deflator = panel._parse_deflator_csv(d)
-    expected = [_column_bits(panel._ingest_rows(path, deflator))
+    expected = [_column_bits(_ingest_rows(path, deflator))
                 for path in (p, odd)]
-
-    def row_loop(*args):
-        raise AssertionError("a valid unquoted panel fell back to the row loop")
-
-    monkeypatch.setattr(panel, "_ingest_rows", row_loop)
-    assert [_column_bits(panel.ingest_csv(path, d).records)
-            for path in (p, odd)] == expected
+    # loadtxt cannot read the odd panel's digit groups and spaced lines
+    assert _column_bits(panel.ingest_csv(odd, d).records) == expected[1]
+    _per_line(monkeypatch)
+    assert _column_bits(panel.ingest_csv(p, d).records) == expected[0]
 
 
 @pytest.mark.parametrize("body", ["", "\n", "\r\n \r\n", "# only a note\n"])
@@ -652,42 +733,101 @@ def test_missing_deflator_names_the_first_year_in_row_order(paths):
         panel.normalize(hand_built)
 
 
-def test_synth_panel_never_reaches_row_loop(monkeypatch, tmp_path):
-    out = tmp_path / "synth"
+@pytest.fixture(scope="module")
+def synth_paths(tmp_path_factory):
+    """The panel and deflator that synth writes for 1000 countries x 41
+    years."""
+    out = tmp_path_factory.mktemp("synth")
     assert cli.main(["synth", "--out", str(out), "--n-countries", "1000",
                      "--years", "1965:2005", "--seed", "3"]) == 0
-    p, d = out / "panel_synth.csv", out / "deflator_synth.csv"
+    return out / "panel_synth.csv", out / "deflator_synth.csv"
+
+
+def test_synth_panel_never_reaches_row_loop(synth_paths, monkeypatch):
+    p, d = synth_paths
     assert p.read_text().startswith("# debtkit ")  # the CLI's own stamp
-    expected = _column_bits(panel._ingest_rows(p, panel._parse_deflator_csv(d)))
-
-    def row_loop(*args):
-        raise AssertionError("a panel written by synth fell back to the row loop")
-
-    monkeypatch.setattr(panel, "_ingest_rows", row_loop)
+    expected = _column_bits(_ingest_rows(p, panel._parse_deflator_csv(d)))
+    _per_line(monkeypatch)
     records = panel.ingest_csv(p, d).records
     assert len(records) == 1000 * 41
     assert _column_bits(records) == expected
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_panel_from_a_pipe_is_read_in_one_pass(paths, tmp_path):
+@pytest.mark.parametrize("error, index, value", [
+    (errors.MalformedRow, 5, "RICH"), (errors.DuplicateKey, None, None),
+    (errors.MissingDeflator, 1, "1800"), (errors.MalformedRow, 0, "A1B"),
+    (errors.NonPositive, 4, "0.0"), (errors.NonPositive, 2, "nan"),
+    (errors.NonPositive, 3, "-1.0")])
+def test_bad_last_row_of_synth_panel_is_named_from_the_table(
+        synth_paths, monkeypatch, tmp_path, error, index, value):
+    # loadtxt's table names the bad row and its line: no line is converted
+    # again one by one
+    p, d = synth_paths
+    *lines, last = p.read_text().splitlines()
+    fields = last.split(",")
+    if index is None:  # the country-year of the first row
+        fields[:2] = lines[2].split(",")[:2]
+    else:
+        fields[index] = value
+    bad = tmp_path / "panel.csv"
+    bad.write_text("\n".join([*lines, ",".join(fields), ""]))
+    expected = _ingested(lambda: _ingest_rows(bad, panel._parse_deflator_csv(d)))
+    assert expected[0] is error and expected[2] == len(lines) + 1
+    _per_line(monkeypatch)
+    assert _ingested(lambda: panel.ingest_csv(bad, d).records) == expected
+
+
+@pytest.mark.parametrize("rule_first", [True, False])
+def test_quoted_panel_names_a_rule_only_before_a_bad_line(paths, rule_first):
+    # a quote sends the panel line by line; a row that breaks a rule before
+    # the first line read_table cannot convert is named, one after it is not
     p, d = paths
+    rows = ['"USA",2000,1e9,1e8,1e3,HIGH', "BRA,2000,1e9,1e8,0.0,LOW",
+            "JPN,2000,abc,1e8,1e3,LOW"]
+    if not rule_first:
+        rows[1:] = rows[:0:-1]
+    p.write_text("\n".join([PANEL_HEADER, *rows, ""]))
+    expected = _ingested(lambda: _ingest_rows(p, panel._parse_deflator_csv(d)))
+    assert expected[0] is (NonPositive if rule_first else MalformedRow)
+    assert expected[2] == 3
+    with panel._open(p) as f, pytest.raises(ValueError):
+        panel._read_table(p, f)
+    assert _ingested(lambda: panel.ingest_csv(p, d).records) == expected
+
+
+@pytest.mark.parametrize("after", ["", "CHN,2001,1e9,1e8,1e3,RICH"])
+def test_comment_line_that_loadtxt_reads_as_a_row(paths, after):
+    # loadtxt, which skips no comment, reads "#AB,..." as a row whose code
+    # breaks a rule; the panel is then read line by line, as read_table does
+    p, d = paths
+    lines = PANEL_TEXT.splitlines()
+    p.write_text("\n".join([*lines[:3], " #AB,2000,1,1,1,LOW", *lines[3:],
+                            after, ""]))
+    expected = _ingested(lambda: _ingest_rows(p, panel._parse_deflator_csv(d)))
+    assert isinstance(expected, list) == (after == "")
+    assert _ingested(lambda: panel.ingest_csv(p, d).records) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_panel_from_a_pipe_is_read_in_one_pass(paths, tmp_path, monkeypatch):
+    p, d = paths
+    expected = _ingested(lambda: _ingest_rows(p, panel._parse_deflator_csv(d)))
     fifo = tmp_path / "panel.fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_text, args=(PANEL_TEXT,))
     writer.start()
-    try:  # a pipe is read once: the columnar pass must not need to seek
-        records = panel._ingest_columns(fifo, panel._parse_deflator_csv(d))
+    _per_line(monkeypatch)
+    try:  # a pipe is read once: loadtxt must read it from memory
+        outcome = _ingested(lambda: panel.ingest_csv(fifo, d).records)
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
-    assert records is not None
-    assert _column_bits(records) == _column_bits(panel.ingest_csv(p, d).records)
+    assert outcome == expected
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("text, line", [
-    (PANEL_TEXT.replace(",HIGH\n", ',"HIGH"\n'), None),  # the row loop reads it
+    (PANEL_TEXT.replace(",HIGH\n", ',"HIGH"\n'), None),  # read line by line
     (PANEL_TEXT.replace("BRA,2001", "BRA,2001.5"), 5),
     (PANEL_TEXT.replace("USA,2001", "USA,2000"), 3)])
 def test_pipe_reaches_the_row_loop_with_its_text(paths, tmp_path, text, line):
@@ -696,7 +836,7 @@ def test_pipe_reaches_the_row_loop_with_its_text(paths, tmp_path, text, line):
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_text, args=(text,))
     writer.start()
-    try:  # the row loop reads the text the columnar pass took from the pipe
+    try:  # the per-line reader reads the text loadtxt's pass took from the pipe
         outcome = _ingested(lambda: panel.ingest_csv(fifo, d).records)
     finally:
         writer.join(timeout=10)
@@ -708,10 +848,11 @@ def test_pipe_reaches_the_row_loop_with_its_text(paths, tmp_path, text, line):
 
 def test_int_read_through_float_with_a_warning_falls_back(paths, monkeypatch):
     # numpy 1.x's loadtxt reads "2001.0" into an int64 field through float
-    # and only warns; int() rejects it, so the columnar pass must not return
+    # and only warns; int() rejects it, so loadtxt's table must not be kept
     p, d = paths
     p.write_text(PANEL_TEXT.replace("BRA,2001", "BRA,2001.0"))
-    deflator, loadtxt, calls = panel._parse_deflator_csv(d), np.loadtxt, []
+    expected = _ingested(lambda: _ingest_rows(p, panel._parse_deflator_csv(d)))
+    loadtxt, calls = np.loadtxt, []
 
     def numpy_1(lines, dtype, **kwargs):
         calls.append(dtype)
@@ -721,7 +862,8 @@ def test_int_read_through_float_with_a_warning_falls_back(paths, monkeypatch):
                        dtype, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", numpy_1)
-    assert panel._ingest_columns(p, deflator) is None and calls
+    assert _ingested(lambda: panel.ingest_csv(p, d).records) == expected
+    assert calls
     with pytest.raises(errors.MalformedRow, match="line 5: .*2001.0"):
         panel.ingest_csv(p, d)
 
@@ -785,14 +927,8 @@ def test_columnar_pass_equals_row_loop(data, tmp_path_factory):
     p.write_text(text, encoding="utf-8", newline="")
     d.write_text(DEFLATOR_TEXT)
     deflator = panel._parse_deflator_csv(d)
-    rows_outcome = _ingested(lambda: panel._ingest_rows(p, deflator))
+    rows_outcome = _ingested(lambda: _ingest_rows(p, deflator))
     assert _ingested(lambda: panel.ingest_csv(p, d).records) == rows_outcome
-    columns = panel._ingest_columns(p, deflator)
-    if isinstance(rows_outcome, tuple):  # the row loop raised
-        assert columns is None
-    elif not any('"' in line for line in lines[1:]
-                 if line.strip() and not line.strip().startswith("#")):
-        assert _column_bits(columns) == rows_outcome  # no needless fallback
 
 
 @pytest.mark.parametrize("column", range(6))
@@ -807,12 +943,8 @@ def test_each_odd_field_reads_as_in_the_row_loop(index, column, tmp_path):
                  encoding="utf-8", newline="")
     d.write_text(DEFLATOR_TEXT)
     deflator = panel._parse_deflator_csv(d)
-    rows_outcome = _ingested(lambda: panel._ingest_rows(p, deflator))
-    columns = panel._ingest_columns(p, deflator)
-    if isinstance(rows_outcome, tuple):  # the row loop raised
-        assert columns is None
-    elif '"' not in rows[1][column]:
-        assert _column_bits(columns) == rows_outcome  # no needless fallback
+    rows_outcome = _ingested(lambda: _ingest_rows(p, deflator))
+    assert _ingested(lambda: panel.ingest_csv(p, d).records) == rows_outcome
 
 
 # ----------------------------------------------- column writer vs csv.writer
@@ -947,16 +1079,21 @@ def test_leading_bom_is_ignored(paths, tmp_path):
     bom_p, bom_d = tmp_path / "bom_panel.csv", tmp_path / "bom_deflator.csv"
     bom_d.write_text(_BOM + DEFLATOR_TEXT, encoding="utf-8")
     assert panel._parse_deflator_csv(bom_d) == deflator
-    expected = _column_bits(panel._ingest_rows(p, deflator))
-    # the columnar pass reads the plain panel; a quote sends it to the rows
+    expected = _column_bits(_ingest_rows(p, deflator))
+    # loadtxt reads the plain panel; a quote sends it to the per-line reader
     for text, columnar in ((PANEL_TEXT, True),
                            (PANEL_TEXT.replace(",HIGH", ',"HIGH"'), False)):
         bom_p.write_text(_BOM + text, encoding="utf-8")
-        columns = panel._ingest_columns(bom_p, deflator)
-        assert (columns is not None) == columnar
+        with panel._open(bom_p) as f:
+            try:
+                records = panel._records(panel._read_table(bom_p, f), deflator,
+                                         bom_p, f)
+            except ValueError:
+                records = None
+        assert (records is not None) == columnar
         if columnar:
-            assert _column_bits(columns) == expected
-        assert _column_bits(panel._ingest_rows(bom_p, deflator)) == expected
+            assert _column_bits(records) == expected
+        assert _column_bits(_ingest_rows(bom_p, deflator)) == expected
         assert _column_bits(panel.ingest_csv(bom_p, bom_d).records) == expected
 
 
