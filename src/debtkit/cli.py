@@ -147,12 +147,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dist_outputs(obs, suffix: str, args) -> list:
-    """The outputs of one `dist` set: histograms, Zipf ranks and both fits."""
+def _dist_outputs(obs, suffix: str, args, ranked: dict) -> list:
+    """The outputs of one `dist` set: histograms, Zipf ranks and both fits;
+    ranked maps d and R to the set's values in rank order."""
     samples = {"d": obs.d, "R": obs.ratio_R}
     hists = {name: dist.histogram_pdf(values, args.bins)
              for name, values in samples.items()}
-    ranked = {name: dist.zipf_ranks(values) for name, values in samples.items()}
     zipf_payload = {}
     for name, values in samples.items():
         # default fit window covers the strictly positive prefix of the ranks
@@ -181,22 +181,26 @@ def _dist_outputs(obs, suffix: str, args) -> list:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     obs = _load_observations(args)
-    outputs = _dist_outputs(obs, "", args)
-    if args.group:
-        wanted = (list(panel.IncomeGroup) if args.group == "all"
-                  else [panel.IncomeGroup(args.group.upper())])
-        for group in wanted:
-            subset = panel.filter_income_group(obs, group)
-            suffix = f"_{group.value.lower()}"
-            if not subset:
-                print(f"note: income group {group.value} is empty; "
-                      f"*{suffix} files omitted", file=sys.stderr)
-                continue
-            try:
-                outputs += _dist_outputs(subset, suffix, args)
-            except DebtkitError as exc:
-                print(f"note: income group {group.value}: {exc}; "
-                      f"*{suffix} files omitted", file=sys.stderr)
+    wanted = ([] if not args.group else list(panel.IncomeGroup)
+              if args.group == "all" else [panel.IncomeGroup(args.group.upper())])
+    masks = [obs.income_group == group for group in wanted]
+    # with groups, d and R are each sorted and formatted once for every set
+    ranked = {name: dist._rank_tables(values, masks) if masks
+              else [dist.zipf_ranks(values)]
+              for name, values in (("d", obs.d), ("R", obs.ratio_R))}
+    outputs = _dist_outputs(obs, "", args, {n: r[0] for n, r in ranked.items()})
+    for i, (group, mask) in enumerate(zip(wanted, masks), start=1):
+        suffix = f"_{group.value.lower()}"
+        if not mask.any():
+            print(f"note: income group {group.value} is empty; "
+                  f"*{suffix} files omitted", file=sys.stderr)
+            continue
+        try:
+            outputs += _dist_outputs(obs.compress(mask), suffix, args,
+                                     {n: r[i] for n, r in ranked.items()})
+        except DebtkitError as exc:
+            print(f"note: income group {group.value}: {exc}; "
+                  f"*{suffix} files omitted", file=sys.stderr)
     _write(args, outputs)
     return EXIT_OK
 

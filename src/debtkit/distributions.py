@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     TooFewPoints,
     WindowTooSmall,
 )
-from .panel import write_table
+from .panel import _WRITE_ROWS, write_table
 from .regress import ols
 
 EULER_GAMMA = 0.5772156649015329
@@ -167,8 +168,9 @@ def fit_gamma_mle(samples: Sequence[float]) -> GammaFit:
     """Maximum-likelihood Gamma fit via Newton-Raphson on the shape k.
 
     Solves log(k) - psi(k) = log(mean) - mean(log samples) starting from the
-    moment estimate k0 = mean**2/variance, then sets r_c = mean/k. Converged
-    when |delta k| < 1e-10 * k within 100 iterations.
+    moment estimate k0 = mean**2/variance (of samples / mean if those leave
+    the float range), then sets r_c = mean/k. Converged when
+    |delta k| < 1e-10 * k within 100 iterations.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
@@ -184,9 +186,13 @@ def fit_gamma_mle(samples: Sequence[float]) -> GammaFit:
     log_arr = np.log(arr)
     mean_log = float(log_arr.mean())
     s = math.log(mean) - mean_log  # > 0 by Jensen unless the sample is constant
+    k = mean * mean / variance if variance > 0.0 else math.nan
+    if s > 0.0 and not 0.0 < k < math.inf and math.isfinite(mean):
+        scaled = arr / mean  # moments left the float range; same shape k
+        variance = float(scaled.var())
+        k = float(scaled.mean()) ** 2 / variance if variance > 0.0 else math.nan
     if variance == 0.0 or s <= 0.0:
         raise DegenerateSample("zero-variance sample drives the shape to infinity")
-    k = mean * mean / variance
     if not 0.0 < k < math.inf:
         raise NoConvergence(f"gamma shape start mean**2/variance = {k!r} is "
                             f"not finite and > 0")
@@ -215,6 +221,47 @@ def zipf_ranks(samples: Sequence[float]) -> np.ndarray:
     Ties keep their input order (stable sort). NaN has no place in a
     descending order, so the samples must be finite.
     """
+    return _rank_tables(samples)[0].ranked
+
+
+class _RankTable:
+    """Values in rank order, which np.asarray gives, and the rows of their
+    rank table, formatted with those of the other tables of one sample."""
+
+    def __init__(self, ranked: np.ndarray, i: int, sample: tuple):
+        # sample: the whole sample ranked, each table's rows in that order
+        # (None for all), and the rows' text of tables formatted, not written
+        self.ranked, self._i, self._sample = ranked, i, sample
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.ranked, dtype) if copy else np.asarray(
+            self.ranked, dtype)
+
+    def _write_rows(self, f) -> None:
+        """Write the rows to f; unless they are held, format each value once
+        for every table of the sample, holding the others' rows as text."""
+        whole, picks, held = self._sample
+        if self._i in held:
+            f.writelines(held.pop(self._i))
+            return
+        held.update((j, []) for j in range(len(picks)) if j != self._i)
+        done = [0] * len(picks)
+        for start in range(0, len(whole), _WRITE_ROWS):
+            block = list(map(repr, whole[start:start + _WRITE_ROWS].tolist()))
+            for j, pick in enumerate(picks):
+                values = block if pick is None else list(compress(
+                    block, pick[start:start + _WRITE_ROWS].tolist()))
+                rows = [None] * (2 * len(values))
+                rows[::2] = range(done[j] + 1, done[j] + len(values) + 1)
+                rows[1::2], done[j] = values, done[j] + len(values)
+                text = "%d,%s\r\n" * len(values) % tuple(rows)
+                (f.write if j == self._i else held[j].append)(text)
+
+
+def _rank_tables(samples: Sequence[float], masks=()) -> "list[_RankTable]":
+    """The rank table of the samples, then one per mask of the rows it picks.
+    The samples are sorted once; a subset keeps that stable order, which is
+    the order zipf_ranks gives the subset alone."""
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"samples must be 1-d, got shape {values.shape}")
@@ -222,7 +269,12 @@ def zipf_ranks(samples: Sequence[float]) -> np.ndarray:
         raise EmptySample("rank plot needs at least one sample")
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue("samples must be finite")
-    return values[np.argsort(-values, kind="stable")]
+    order = np.argsort(-values, kind="stable")
+    ranked = values[order]
+    picks = [None, *(np.asarray(mask, bool)[order] for mask in masks)]
+    sample = (ranked, picks, {})
+    return [_RankTable(ranked if pick is None else ranked[pick], i, sample)
+            for i, pick in enumerate(picks)]
 
 
 def fit_zipf_exponent(ranked: Sequence[float],
@@ -280,5 +332,11 @@ def write_histogram_csv(hist: HistogramPdf, path,
 
 def write_ranks_csv(ranked: np.ndarray, path,
                     header_comment: "str | None" = None) -> None:
+    """Write (rank, value) rows of values in rank order or a _RankTable."""
+    if isinstance(ranked, _RankTable):  # the header as write_table writes it
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            f.write((f"# {header_comment}\n" if header_comment else "")
+                    + "rank,value\r\n")
+            return ranked._write_rows(f)
     write_table(path, ["rank", "value"],
                 [np.arange(1, len(ranked) + 1), ranked], header_comment)

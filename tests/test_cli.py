@@ -599,9 +599,9 @@ def test_numerical_error_exits_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, debt, code, message", [
-    # R near 1e300: the variance of the gamma fit's moment start overflows
-    ("dist", "{i}e299", 3, "numerical failure: gamma shape start"),
-    ("threshold", "{i}e299", 3, "numerical failure: gamma shape start"),
+    # R near the largest float: the mean of R overflows, so no start is finite
+    ("dist", "{i}e307", 3, "numerical failure: gamma shape start"),
+    ("threshold", "{i}e307", 3, "numerical failure: gamma shape start"),
     # no positive debt leaves the default Zipf window empty
     ("dist", "0.0", 2, "data error: d has 0 positive values"),
 ])
@@ -618,6 +618,30 @@ def test_failed_fit_leaves_no_out_dir(tmp_path, capsys, command, debt, code,
     assert rc == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dist", "threshold"])
+def test_gamma_fit_of_ratios_near_1e300(tmp_path, command):
+    # R near 1e300: the variance of R overflows, so the fit starts from the
+    # moments of R / mean, and k is that of the same ratios scaled to 1..6
+    rows = [f"{c}{c}{c},2000,1.0,{i}e299,1.0,LOW"
+            for i, c in enumerate("ABCDEF", start=1)]
+    panel_path, deflator_path = _write_panel(tmp_path, rows)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--panel", panel_path,
+                       "--deflator", deflator_path, "--out", str(out)])
+    assert rc == 0
+    if command == "dist":
+        fit = json.loads((out / "gamma_fit.json").read_text())
+    else:
+        fit = json.loads((out / "threshold_summary.json").read_text())["gamma_fit"]
+    from debtkit import distributions
+    unit = distributions.fit_gamma_mle([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert math.isfinite(fit["r_c"]) and fit["r_c"] > 0
+    assert fit["k"] == pytest.approx(unit.k, rel=1e-9)
+    assert fit["r_c"] == pytest.approx(unit.r_c * 1e299, rel=1e-9)
 
 
 @pytest.mark.parametrize("command", ["converge", "dist", "scaling", "threshold"])

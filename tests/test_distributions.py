@@ -14,6 +14,7 @@ above 6.2e-15.
 
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -203,6 +204,20 @@ def test_gamma_mle_guards():
         dist.fit_gamma_mle([2.0])
     with pytest.raises(errors.DegenerateSample):
         dist.fit_gamma_mle([3.0, 3.0, 3.0])  # zero variance
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_gamma_mle_where_the_moments_leave_the_float_range(scale):
+    # times 1e-300 the variance underflows to 0, times 1e300 it overflows;
+    # the shape is scale-free, so k is the unscaled sample's and r_c scales
+    samples = np.random.default_rng(0).gamma(2.0, 1.0, 2000)
+    base = dist.fit_gamma_mle(samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on overflow, not underflow
+        fit = dist.fit_gamma_mle(samples * scale)
+    assert fit.k == pytest.approx(base.k, rel=1e-9)
+    assert fit.r_c == pytest.approx(base.r_c * scale, rel=1e-9)
+    assert math.isfinite(fit.log_likelihood) and fit.n == 2000
 
 
 def test_gamma_mle_no_convergence_names_last_iterate(monkeypatch):
