@@ -145,8 +145,7 @@ class YearIndex:
 
     codes: tuple[str, ...]       # sorted
     rank: np.ndarray             # per row, the index of its code in codes
-    order: np.ndarray            # the rows by year and then by code
-    rows: dict[int, np.ndarray]  # panel year, ascending -> its part of order
+    rows: dict[int, np.ndarray]  # panel year, ascending -> its rows by code
 
     def year(self, year: int) -> np.ndarray:
         """The rows of one year, in country-code order."""
@@ -182,18 +181,19 @@ class PanelColumns(_Columns):
         order, year = order[last], year[last]
         years, starts = np.unique(year, return_index=True)
         rows = dict(zip(years.tolist(), np.split(order, starts[1:])))
-        return YearIndex(tuple(codes), rank, order, rows)
+        return YearIndex(tuple(codes), rank, rows)
 
 
 def _open(path: "str | Path"):
     """path's text, lines kept whole with their ends, a leading byte-order
-    mark dropped and a byte that is not UTF-8 as a surrogate; a file that
-    cannot seek, such as a named pipe, is read into memory, to read twice."""
+    mark dropped and a byte that is not UTF-8 as a surrogate; a named pipe,
+    which cannot seek, is read twice from its bytes held in memory."""
     f = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
     if f.seekable():
         return f
     with f:
-        return io.StringIO(f.read(), newline="")
+        return io.TextIOWrapper(io.BytesIO(f.buffer.read()), f.encoding,
+                                f.errors, newline="")
 
 
 def _split(line_no: int, line: str, types: "tuple | None" = None) -> list:
@@ -256,7 +256,13 @@ def _parse_deflator_csv(path: Path) -> DeflatorSeries:
         if not 0 < value < math.inf:
             raise NonPositive(f"deflator for {year} must be finite and > 0",
                               line=line_no)
+        if year == BASE_YEAR and value != 1.0:
+            raise MalformedRow(f"deflator at base year {BASE_YEAR} must be "
+                               f"exactly 1.0, got {value!r}", line=line_no)
         values[year] = value
+    if BASE_YEAR not in values:
+        raise MissingDeflator(f"{path}: base year {BASE_YEAR} absent from "
+                              "series")
     return DeflatorSeries(values=values)
 
 

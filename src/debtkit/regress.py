@@ -9,15 +9,17 @@ whose slope S maps to a per-year convergence speed beta through
 S = 1 - beta*dt. beta > 0 means initially small values grow faster
 (convergence); beta < 0 means divergence. All logarithms are natural.
 
-Each fit pairs the rows of two years by country through obs.index, the
-panel's one YearIndex, so memory grows with the rows, not countries x years.
+Every cell, of slope_surface's grid or of convergence_regression, comes
+from one pairing, _cells, through obs.index, the panel's one YearIndex, so
+memory grows with the rows, not countries x years.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -129,23 +131,64 @@ def growth_rate(v_start: float, v_end: float, dt: float) -> float:
     return math.log(v_end / v_start) / dt
 
 
-def _log_log_fit(x_column, y_column, label: str) -> tuple[OlsFit, int]:
-    """OLS of y on x, each column given as (logs, n): the logs of the rows
-    usable at both, and n rows present there and not counted by the other
-    column. Rows counted but not usable are counted as excluded."""
-    (x, n_x), (y, n_y) = x_column, y_column
+def _log_log_fit(x: np.ndarray, y: np.ndarray, label: str) -> OlsFit:
+    """OLS of y on x, the logs of the countries usable at both; fewer than
+    3 of them raise TooFewCountries."""
     if len(x) < 3:
         raise TooFewCountries(
             f"{len(x)} countries with positive {label}; need >= 3")
-    return ols(x, y), n_x + n_y - len(x)
+    return ols(x, y)
 
 
-def _fit_cell(variable: Variable, t: int, dt: int, start,
-              end) -> ConvergenceFit:
-    """Regress log v(t+dt) on log v(t) over start and end, the _log_log_fit
-    columns of years t and t + dt."""
-    fit, n_excluded = _log_log_fit(
-        start, end, f"{variable.value} at both {t} and {t + dt}")
+def _fitted(fit, cells) -> list:
+    """fit(*cell) for each of cells that has at least 3 countries and spread
+    in x; the rest are skipped."""
+    fits = []
+    for cell in cells:
+        try:
+            fits.append(fit(*cell))
+        except (TooFewCountries, DegenerateX):
+            pass
+    return fits
+
+
+def _cells(obs: PanelColumns, variable: Variable, t_list: Sequence[int],
+           dts: range):
+    """(variable, t, dt, x, y, n_excluded) for each t in t_list and dt in
+    dts with t and t + dt panel years: x and y are the logs of v at t and
+    t + dt of the countries positive at both, in country-code order, and
+    n_excluded counts the others present at either."""
+    index = obs.index
+    values = getattr(obs, _ATTRIBUTES[variable])
+    years = list(index.rows)
+
+    @cache  # each year is read once, for this call only
+    def year(y):  # its rows' code ranks, which are positive, and their logs
+        v = values[index.rows[y]]
+        return (index.rank[index.rows[y]], v > 0,
+                np.log(v, out=np.zeros_like(v), where=v > 0))
+
+    # year t is scattered by country rank, the years after it gathered
+    logs_at = np.zeros(len(index.codes))
+    positive_at, present_at = np.zeros((2, len(index.codes)), dtype=bool)
+    for t in (t for t in t_list if t in index.rows):
+        ranks, positive, logs = year(t)
+        logs_at[ranks], positive_at[ranks] = logs, positive
+        present_at[ranks] = True
+        for end in years[bisect_left(years, t + dts.start):
+                         bisect_left(years, t + dts.stop)]:
+            there, positive_there, logs_there = year(end)
+            usable = positive_at[there] & positive_there
+            x = logs_at[there[usable]]
+            yield (variable, t, end - t, x, logs_there[usable], len(ranks)
+                   + len(there) - np.count_nonzero(present_at[there]) - len(x))
+        positive_at[ranks] = present_at[ranks] = False
+
+
+def _fit_cell(variable: Variable, t: int, dt: int, x: np.ndarray,
+              y: np.ndarray, n_excluded: int) -> ConvergenceFit:
+    """Regress y, log v(t+dt), on x, log v(t): one cell of _cells."""
+    fit = _log_log_fit(x, y, f"{variable.value} at both {t} and {t + dt}")
     return ConvergenceFit(variable=variable, t=t, dt=dt, S=fit.slope,
                           beta=(1.0 - fit.slope) / dt, alpha=fit.intercept / dt,
                           r_squared=fit.r_squared, n_countries=fit.n,
@@ -161,16 +204,9 @@ def convergence_regression(obs: PanelColumns, variable: "Variable | str",
     """
     if dt < 1:
         raise ValueError(f"dt must be >= 1, got {dt}")
-    variable = Variable(variable)
-    index = obs.index
-    start, end = index.year(t), index.year(t + dt)
-    both, i, k = np.intersect1d(index.rank[start], index.rank[end],
-                                return_indices=True)
-    x, y = (getattr(obs, _ATTRIBUTES[variable])[rows]
-            for rows in (start[i], end[k]))
-    usable = (x > 0) & (y > 0)
-    return _fit_cell(variable, t, dt, (np.log(x[usable]), len(start)),
-                     (np.log(y[usable]), len(end) - len(both)))
+    obs.index.year(t), obs.index.year(t + dt)  # EmptyCrossSection if absent
+    return _fit_cell(*next(_cells(obs, Variable(variable), [t],
+                                  range(dt, dt + 1))))
 
 
 def slope_surface(obs: PanelColumns, variable: "Variable | str",
@@ -179,49 +215,17 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
     """One ConvergenceFit per (t in t_list, 1 <= dt <= dt_max) with enough data.
 
     Fits with r_squared below r2_min are dropped and counted. Only cells of
-    two panel years with at least 3 countries positive at both are fitted;
-    every other grid cell is skipped and counted. Entry order follows the
-    grid order (t outer, dt inner), never completion order.
+    two panel years with at least 3 countries positive at both and spread
+    in log v(t) are fitted; every other grid cell is skipped and counted.
+    Entry order follows the grid order (t outer, dt inner).
     """
     if not t_list:
         raise ValueError("t_list must be nonempty")
     if dt_max < 1:
         raise ValueError(f"dt_max must be >= 1, got {dt_max}")
     variable = Variable(variable)
-    index = obs.index
-    years = list(index.rows)
-    # the rows of years[j] are bounds[j] to bounds[j + 1] of these arrays
-    bounds = np.cumsum([0, *map(len, index.rows.values())]).tolist()
-    ranks = index.rank[index.order]
-    values = getattr(obs, _ATTRIBUTES[variable])[index.order]
-    positive = values > 0
-    logs = np.log(values, out=np.zeros_like(values), where=positive)
-    n_positive = np.add.reduceat(positive, bounds[:-1], dtype=np.intp)
-    starts = {years[j]: j for j in np.flatnonzero(n_positive >= 3).tolist()}
-    # year t is scattered by country rank, the years after it gathered
-    logs_at = np.zeros(len(index.codes))
-    positive_at, present_at = np.zeros((2, len(index.codes)), dtype=bool)
-    fits: list[ConvergenceFit] = []
-    for t, j in ((t, starts[t]) for t in t_list if t in starts):
-        a, b = bounds[j], bounds[j + 1]
-        logs_at[ranks[a:b]] = logs[a:b]
-        positive_at[ranks[a:b]], present_at[ranks[a:b]] = positive[a:b], True
-        end = bisect_right(years, t + dt_max)
-        there = ranks[b:bounds[end]]
-        usable = positive_at[there] & positive[b:bounds[end]]
-        x, y = logs_at[there], logs[b:bounds[end]]
-        offsets = np.array(bounds[j + 1:end], dtype=np.intp) - b
-        n_usable = np.add.reduceat(usable, offsets, dtype=np.intp).tolist()
-        n_both = np.add.reduceat(present_at[there], offsets,
-                                 dtype=np.intp).tolist()
-        for k, n, n_in_both in zip(range(j + 1, end), n_usable, n_both):
-            if n >= 3:
-                cell = slice(bounds[k] - b, bounds[k + 1] - b)
-                ok = usable[cell]
-                fits.append(_fit_cell(
-                    variable, t, years[k] - t, (x[cell][ok], b - a),
-                    (y[cell][ok], len(ok) - n_in_both)))
-        positive_at[ranks[a:b]] = present_at[ranks[a:b]] = False
+    fits = _fitted(_fit_cell,
+                   _cells(obs, variable, t_list, range(1, dt_max + 1)))
     entries = tuple(fit for fit in fits if not fit.r_squared < r2_min)
     return SlopeSurface(variable=variable, entries=entries, r2_min=r2_min,
                         n_dropped=len(fits) - len(entries),

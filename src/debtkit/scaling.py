@@ -15,7 +15,7 @@ import numpy as np
 # cross_section and ols are not called here, but perfbench/tracer.py wraps
 # scaling.cross_section and scaling.ols by name
 from .panel import PanelColumns, cross_section, write_table
-from .regress import _log_log_fit, ols
+from .regress import _fitted, _log_log_fit, ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
 
@@ -36,11 +36,11 @@ def _fit_year(obs: PanelColumns, rows, year: int) -> ScalingFit:
     """OLS of log g on log d over the rows of year with positive d and g."""
     d, g = obs.d[rows], obs.g[rows]
     usable = (d > 0) & (g > 0)
-    fit, n_excluded = _log_log_fit((np.log(d[usable]), len(rows)),
-                                   (np.log(g[usable]), 0), f"d and g in {year}")
+    fit = _log_log_fit(np.log(d[usable]), np.log(g[usable]),
+                       f"d and g in {year}")
     return ScalingFit(year=year, gamma=fit.slope, log_A=fit.intercept,
                       r_squared=fit.r_squared, n_countries=fit.n,
-                      n_excluded=n_excluded)
+                      n_excluded=len(rows) - fit.n)
 
 
 def fit_gdp_debt_scaling(obs: PanelColumns, year: int) -> ScalingFit:
@@ -49,16 +49,16 @@ def fit_gdp_debt_scaling(obs: PanelColumns, year: int) -> ScalingFit:
 
 
 def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
-    """fit_gdp_debt_scaling per year; years without enough data are skipped.
+    """fit_gdp_debt_scaling per year; a year with fewer than 3 countries
+    positive in d and g, or with no spread in log d, is skipped.
 
     Skipped years are recoverable as set(years) minus the fitted years.
     """
     if not years:
         raise ValueError("years must be nonempty")
     rows = obs.index.rows
-    usable = (obs.d > 0) & (obs.g > 0)
-    return [_fit_year(obs, rows[year], year) for year in years
-            if year in rows and np.count_nonzero(usable[rows[year]]) >= 3]
+    return _fitted(_fit_year, ((obs, rows[year], year) for year in years
+                               if year in rows))
 
 
 def write_trend_csv(fits: Iterable[ScalingFit], path,

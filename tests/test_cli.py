@@ -566,9 +566,10 @@ def test_header_only_panel_exits_two(tmp_path, capsys, command):
     assert "no data rows" in capsys.readouterr().err
 
 
-def test_numerical_error_exits_three(tmp_path, capsys):
-    # identical debt levels at the start year make log d constant: the
-    # regression design matrix is degenerate, a numerical failure
+def test_constant_x_cell_is_skipped(tmp_path, capsys):
+    # identical debt levels at the start year make log d constant: the d
+    # cell has no slope, so it is skipped and counted, and the other
+    # surfaces are still fitted and written
     constant_d = [
         "AAA,2000,1e9,5e8,1e6,LOW",
         "BBB,2000,2e9,5e8,1e6,LOW",
@@ -577,7 +578,7 @@ def test_numerical_error_exits_three(tmp_path, capsys):
         "BBB,2001,2e9,6e8,1e6,LOW",
         "CCC,2001,4e9,7e8,1e6,LOW",
     ]
-    # d varies but g is constant in 2000: the d surface fits, the g one fails
+    # d varies but g is constant in 2000: the d surface fits, the g one is empty
     constant_g = [
         "AAA,2000,1e9,5e8,1e6,LOW",
         "BBB,2000,1e9,6e8,1e6,LOW",
@@ -592,10 +593,33 @@ def test_numerical_error_exits_three(tmp_path, capsys):
         rc = cli.main(["converge", "--panel", panel_path,
                        "--deflator", deflator_path, "--out", str(out),
                        "--years", "2000", "--dt-max", "1"])
-        assert rc == 3
-        assert "numerical" in capsys.readouterr().err
-        # every surface is fitted before any is written
-        assert not list(out.glob("surface_*.csv"))
+        assert rc == 0
+        assert (f"surface_{name}.csv (0 fits, 0 below r2_min, 1 skipped)"
+                in capsys.readouterr().out)
+        for variable in ("d", "g", "R"):
+            lines = (out / f"surface_{variable}.csv").read_text().splitlines()
+            assert len(lines) == (2 if variable == name else 3)
+
+
+def test_constant_start_year_leaves_later_cells(tmp_path, capsys):
+    # every country has d = 0.01 in 2000, so log d has no spread that year;
+    # converge and scaling skip and count it and fit 2001 and 2002
+    rows = [f"{c * 3},{year},{i * 1e9 * (year - 1998)},"
+            f"{1e7 if year == 2000 else i * 1e7 * (year - 1999) ** i},1e6,LOW"
+            for year in (2000, 2001, 2002) for i, c in enumerate("ABCD", 1)]
+    panel_path, deflator_path = _write_panel(tmp_path, rows,
+                                             (2000, 2001, 2002))
+    args = ["--panel", panel_path, "--deflator", deflator_path]
+    assert cli.main(["converge", *args, "--out", str(tmp_path / "c"),
+                     "--dt-max", "2"]) == 0
+    assert ("surface_d.csv (1 fits, 0 below r2_min, 3 skipped)"
+            in capsys.readouterr().out)
+    lines = (tmp_path / "c" / "surface_d.csv").read_text().splitlines()
+    assert [line.split(",")[1:3] for line in lines[2:]] == [["2001", "1"]]
+    assert cli.main(["scaling", *args, "--out", str(tmp_path / "s")]) == 0
+    captured = capsys.readouterr()
+    assert "gamma_trend.csv (2 years)" in captured.out
+    assert "note: skipped years without enough data: 2000" in captured.err
 
 
 @pytest.mark.parametrize("command, debt, code, message", [

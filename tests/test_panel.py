@@ -6,9 +6,10 @@ import os
 import string
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,32 @@ def test_deflator_base_year_must_be_one(tmp_path):
     with pytest.raises(errors.MalformedRow, match="exactly 1.0"):
         _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0,LOW",
                         deflator_text=text)
+
+
+def test_deflator_base_year_value_names_its_line(tmp_path):
+    # the base-year row is checked where it stands, ahead of a later bad row
+    text = "\n".join([DEFLATOR_HEADER, "# stamp", "1999,0.95", "2000,1.5",
+                      "2001,-1.0", ""])
+    with pytest.raises(errors.MalformedRow) as info:
+        _ingest_variant(tmp_path, "BRA,2000,1e9,1e8,1000.0,LOW",
+                        deflator_text=text)
+    assert str(info.value) == ("line 4: deflator at base year 2000 must be "
+                               "exactly 1.0, got 1.5")
+    assert info.value.line == 4
+    # a series built directly still checks it, with no line to name
+    with pytest.raises(errors.MalformedRow, match="^deflator at base year"):
+        panel.DeflatorSeries(values={2000: 1.5})
+
+
+def test_deflator_without_base_year_names_its_file(tmp_path):
+    text = "\n".join([DEFLATOR_HEADER, "1999,0.95", "2001,1.25", ""])
+    with pytest.raises(errors.MissingDeflator) as info:
+        _ingest_variant(tmp_path, "BRA,2001,1e9,1e8,1000.0,LOW",
+                        deflator_text=text)
+    assert str(info.value) == (f"{tmp_path / 'bad_deflator.csv'}: base year "
+                               "2000 absent from series")
+    with pytest.raises(errors.MissingDeflator, match="^base year 2000"):
+        panel.DeflatorSeries(values={2001: 1.0})
 
 
 def test_nonpositive_deflator_rejected(tmp_path):
@@ -844,6 +871,40 @@ def test_pipe_reaches_the_row_loop_with_its_text(paths, tmp_path, text, line):
     p.write_text(text)
     assert outcome == _ingested(lambda: panel.ingest_csv(p, d).records)
     assert (outcome[2] if isinstance(outcome, tuple) else None) == line
+
+
+def _traced_peak(read):
+    """The tracemalloc peak of read(), in bytes."""
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_panel_from_a_pipe_is_buffered_as_bytes(paths, tmp_path):
+    # a pipe's panel is held in memory once, as its bytes: text would cost
+    # up to 4 bytes a character once read
+    p, d = paths
+    codes = ("".join(c) for c in product(string.ascii_uppercase, repeat=3))
+    data = "\n".join([PANEL_HEADER, *(
+        f"{code},{year},{1e9 + i},{5e8 + i},{1e6 + i},LOW"
+        for i, code in zip(range(5000), codes) for year in (2000, 2001)),
+        ""]).encode()
+    p.write_bytes(data)
+    from_file = _traced_peak(lambda: panel.ingest_csv(p, d))
+    fifo = tmp_path / "panel.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        from_pipe = _traced_peak(lambda: panel.ingest_csv(fifo, d))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert from_pipe - from_file < 2 * len(data)
 
 
 def test_int_read_through_float_with_a_warning_falls_back(paths, monkeypatch):

@@ -251,9 +251,9 @@ def test_slope_surface_fits_only_panel_year_pairs(monkeypatch):
     calls = []
     fit_cell = regress._fit_cell
 
-    def counted(variable, t, dt, start, end):
-        calls.append((t, dt))
-        return fit_cell(variable, t, dt, start, end)
+    def counted(*args):
+        calls.append(args[1:3])  # (t, dt)
+        return fit_cell(*args)
 
     monkeypatch.setattr(regress, "_fit_cell", counted)
     t_list = list(range(-7995, 2005))  # 10,000 initial years
@@ -361,7 +361,7 @@ def _ref_slope_surface(obs, variable, t_list, dt_max, r2_min):
                     and t < y <= t + dt_max):
             try:
                 fits.append(_ref_fit_cell(matrix, variable, t, end - t))
-            except errors.TooFewCountries:
+            except (errors.TooFewCountries, errors.DegenerateX):
                 pass
     entries = tuple(fit for fit in fits if not fit.r_squared < r2_min)
     return regress.SlopeSurface(variable=variable, entries=entries,
@@ -378,7 +378,7 @@ def _ref_gamma_trend(obs, years):
         try:
             fit, n_excluded = _ref_log_log_fit(d.column(year), g.column(year),
                                                f"d and g in {year}")
-        except errors.TooFewCountries:
+        except (errors.TooFewCountries, errors.DegenerateX):
             continue
         fits.append(scaling.ScalingFit(
             year=year, gamma=fit.slope, log_A=fit.intercept,
