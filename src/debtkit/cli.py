@@ -394,8 +394,10 @@ def main(argv: "list[str] | None" = None) -> int:
             if value is not None and not ok(value):
                 raise ValueError(f"{flag} must be {rule}, got {value!r}")
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"debtkit: error: cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a path that cannot be read or made
+        if exc.filename is None:
+            raise
+        print(f"debtkit: error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except _NUMERIC_ERRORS as exc:
         print(f"debtkit: numerical failure: {exc}", file=sys.stderr)

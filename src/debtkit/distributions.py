@@ -118,7 +118,11 @@ def histogram_pdf(samples: Sequence[float],
     n = int(counts.sum())
     if n == 0:
         raise EmptySample("no sample falls inside the given edges")
-    density = counts / n / np.diff(edges)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        density = counts / n / np.diff(edges)
+    if not np.isfinite(density).all():  # bins a few subnormals wide, or none
+        raise DegenerateSample("histogram density is not finite: the bins are "
+                               "too narrow for the sample's range")
     return HistogramPdf(edges=edges, density=density, n=n)
 
 

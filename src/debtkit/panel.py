@@ -14,14 +14,13 @@ the nominal amounts directly since the deflator cancels.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import warnings
-from contextlib import nullcontext, suppress
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable
 
@@ -42,6 +41,7 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes of a bad
 _WIDTH = 8  # bytes of a code or group as loadtxt reads them; longer is cut
 _TABLE = np.dtype(f"S{_WIDTH},i8,f8,f8,f8,S{_WIDTH}")  # a panel row, for loadtxt
 _PANEL_TYPES = (str, int, float, float, float, str)  # a panel row, for _split
+_READ_LINES = 1024  # lines per loadtxt block in ingest_csv; 8192 took more memory
 
 # Per-capita amounts are expressed in thousands of base-year USD per person.
 _THOUSAND = 1e3
@@ -72,14 +72,8 @@ class DeflatorSeries:
     def __post_init__(self):
         if BASE_YEAR not in self.values:
             raise MissingDeflator(f"base year {BASE_YEAR} absent from series")
-        if self.values[BASE_YEAR] != 1.0:
-            raise MalformedRow(
-                f"deflator at base year {BASE_YEAR} must be exactly 1.0, "
-                f"got {self.values[BASE_YEAR]!r}")
         for year, value in self.values.items():
-            if not 0 < value < math.inf:
-                raise NonPositive(
-                    f"deflator for {year} must be finite and > 0, got {value!r}")
+            _check_deflator(year, value)
 
     def value(self, year: int) -> float:
         try:
@@ -185,15 +179,8 @@ class PanelColumns(_Columns):
 
 
 def _open(path: "str | Path"):
-    """path's text, lines kept whole with their ends, a leading byte-order
-    mark dropped and a byte that is not UTF-8 as a surrogate; a named pipe,
-    which cannot seek, is read twice from its bytes held in memory."""
-    f = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
-    if f.seekable():
-        return f
-    with f:
-        return io.TextIOWrapper(io.BytesIO(f.buffer.read()), f.encoding,
-                                f.errors, newline="")
+    """path's text, line ends kept, a leading BOM dropped, a bad byte a surrogate."""
+    return open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
 
 
 def _split(line_no: int, line: str, types: "tuple | None" = None) -> list:
@@ -212,36 +199,46 @@ def _split(line_no: int, line: str, types: "tuple | None" = None) -> list:
         raise MalformedRow(str(exc), line=line_no) from None
 
 
-def _lines(path: "str | Path", f):
-    """(line_no, line) for each data line of f from _open, read from its
-    start, skipping blank and # lines; a byte that is not UTF-8, which _open
-    decodes to a surrogate, raises MalformedRow naming its line, on any line."""
-    f.seek(0)
-    for n, line in enumerate(f, 1):
+def _lines(path: "str | Path", lines: Iterable[str], start: int = 1):
+    """(line_no, line) per data line, numbered from start, skipping blank and
+    # lines; a byte that is not UTF-8 raises MalformedRow on any line."""
+    for n, line in enumerate(lines, start):
         if not line.isascii() and _NOT_UTF8.search(line):
             raise MalformedRow(f"{path}: not UTF-8 text", line=n)
         if (text := line.strip()) and not text.startswith("#"):
             yield n, line
 
 
-def read_table(path: "str | Path", header: list[str], types: tuple, f=None):
+def _header(path: "str | Path", f, header: list[str]) -> int:
+    """The line of f's first data line, which must be header once trimmed."""
+    first = next(_lines(path, f), None)
+    if first is None or [h.strip() for h in _split(*first)] != header:
+        raise MalformedRow(f"{path}: expected header {','.join(header)!r}",
+                           line=None if first is None else first[0])
+    return first[0]
+
+
+def read_table(path: "str | Path", header: list[str], types: tuple):
     """Yield (line_no, fields) per data row, skipping blank and # lines.
 
     The first row must match header once trimmed, every later row must have
     as many fields, and field i is converted by types[i]. A leading UTF-8
     byte-order mark is dropped. A fault, such as a byte that is not UTF-8
-    on any line, raises MalformedRow naming its 1-based line. f, if given,
-    is path's text from _open.
+    on any line, raises MalformedRow naming its 1-based line.
     """
-    with _open(path) if f is None else nullcontext(f) as f:
-        rows = _lines(path, f)
-        first = next(rows, None)
-        if first is None or [h.strip() for h in _split(*first)] != header:
-            raise MalformedRow(
-                f"{path}: expected header {','.join(header)!r}",
-                line=None if first is None else first[0])
-        for line_no, line in rows:
+    with _open(path) as f:
+        for line_no, line in _lines(path, f, _header(path, f, header) + 1):
             yield line_no, _split(line_no, line, types)
+
+
+def _check_deflator(year: int, value: float, line: "int | None" = None):
+    """Raise if a deflator breaks a rule; line is its CSV line, if any."""
+    if not 0 < value < math.inf:
+        raise NonPositive(f"deflator for {year} must be finite and > 0, "
+                          f"got {value!r}", line=line)
+    if year == BASE_YEAR and value != 1.0:
+        raise MalformedRow(f"deflator at base year {BASE_YEAR} must be "
+                           f"exactly 1.0, got {value!r}", line=line)
 
 
 def _parse_deflator_csv(path: Path) -> DeflatorSeries:
@@ -253,12 +250,7 @@ def _parse_deflator_csv(path: Path) -> DeflatorSeries:
                                line=line_no)
         if year in values:
             raise DuplicateKey(f"duplicate deflator year {year}", line=line_no)
-        if not 0 < value < math.inf:
-            raise NonPositive(f"deflator for {year} must be finite and > 0",
-                              line=line_no)
-        if year == BASE_YEAR and value != 1.0:
-            raise MalformedRow(f"deflator at base year {BASE_YEAR} must be "
-                               f"exactly 1.0, got {value!r}", line=line_no)
+        _check_deflator(year, value, line_no)
         values[year] = value
     if BASE_YEAR not in values:
         raise MissingDeflator(f"{path}: base year {BASE_YEAR} absent from "
@@ -314,11 +306,9 @@ def _check_rows(names, name_of, years, year_of, population, gdp, debt,
             group=spellings[group_of[row]] if group else None), line=line(row))
 
 
-def _records(columns: list, deflator: DeflatorSeries, path, f) -> RecordColumns:
-    """The records of a panel's columns read from f, path's text from _open,
-    if they keep the rules. ValueError if a code or group of bytes is not
-    ASCII or fills _WIDTH, so may be cut, or a code starts with "#", so is a
-    comment line that loadtxt read as a row."""
+def _records(columns: list, deflator: DeflatorSeries, line) -> RecordColumns:
+    """The records of the columns if they keep the rules; line(i) is the CSV
+    line of row i."""
     code, year, gdp, debt, population, group = columns
     # loadtxt's codes and groups sort fastest as the integers their bytes spell
     (codes, code_of), (groups, group_of), (years, year_of) = (np.unique(
@@ -328,64 +318,73 @@ def _records(columns: list, deflator: DeflatorSeries, path, f) -> RecordColumns:
     codes, groups = ((values.view(code.dtype).astype(str) if code.dtype.kind == "S"
                       else values).tolist() for values in (codes, groups))
     names = np.array([code.strip().upper() for code in codes], object)
-    if code.dtype.kind == "S" and (max(map(len, codes + groups)) >= _WIDTH
-                                   or any(n.startswith("#") for n in names)):
-        raise ValueError("a code or group may have been cut, or is a comment")
     member = {group.value: group for group in IncomeGroup}.get
     members = np.array([member(g.strip().upper()) for g in groups], object)
     _check_rows(names, code_of, years, year_of, population, gdp, debt,
-                (groups, members, group_of), deflator, lambda row: next(
-                    n for i, (n, _) in enumerate(_lines(path, f)) if i > row))
-    return RecordColumns(names[code_of], year.astype(np.int64), gdp.copy(),
-                         debt.copy(), population.copy(), members[group_of])
+                (groups, members, group_of), deflator, line)
+    return RecordColumns(names[code_of], year.astype(np.int64), gdp, debt,
+                         population, members[group_of])
 
 
-def _read_table(path: "str | Path", f) -> list:
-    """The panel's columns as numpy's C text reader reads f, path's text
-    from _open; ValueError or a warning where loadtxt fails or may read
-    them otherwise than read_table: it keeps a quote, drops a NUL at the end
-    of a field, takes \\x1c-\\x1f for space and reads a field longer than
-    csv.field_size_limit(), so a line holding any of them, or as long as
-    half that limit, or a byte that is not UTF-8, is not for it."""
-    size = max(1, min(1 << 16, csv.field_size_limit() // 2))
-    while chunk := f.read(size):
-        if (any(c in chunk for c in '"\0\x1c\x1d\x1e\x1f')
-                or len(chunk) == size and "\n" not in chunk and "\r" not in chunk
-                or not chunk.isascii() and _NOT_UTF8.search(chunk)):
-            raise ValueError("a line is not plain")
-    header = _split(*next(_lines(path, f), (0, "")))
-    if [h.strip() for h in header] != PANEL_HEADER:
-        raise ValueError("no panel header")
-    with warnings.catch_warnings():
-        # loadtxt warns on no rows; numpy 1.x reads an int via float
-        warnings.simplefilter("error")
-        table = np.loadtxt(f, _TABLE, delimiter=",", comments=None,
-                           quotechar=None, ndmin=1)
-    return [table[name] for name in _TABLE.names]
+def _table(block: list[str]) -> "np.ndarray | None":
+    """A block of lines as numpy's loadtxt reads it, or None where it may
+    read it otherwise than _split: a quote, a #, a NUL or \\x1c-\\x1f, text
+    not ASCII, a line as long as half csv.field_size_limit(), a failure or
+    warning, or a code or group that fills _WIDTH, so may have been cut."""
+    text = "".join(block)
+    if (not text.isascii() or any(c in text for c in '"#\0\x1c\x1d\x1e\x1f')
+            or max(map(len, block)) >= csv.field_size_limit() // 2):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on no rows; numpy 1.x reads an int via float
+            warnings.simplefilter("error")
+            table = np.loadtxt(block, _TABLE, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    full = [table[name].view((np.uint8, _WIDTH))[:, -1].any()  # last byte set
+            for name in (_TABLE.names[0], _TABLE.names[-1])]
+    return None if any(full) else table
 
 
 def ingest_csv(path: "str | Path", deflator_path: "str | Path") -> Panel:
     """Read and validate a panel CSV plus its deflator CSV into a Panel.
 
     Raises MalformedRow, DuplicateKey, MissingDeflator, or NonPositive; the
-    exception message names the offending 1-based line number.
+    exception message names the offending 1-based line number. The panel is
+    read once: _table reads it in blocks of _READ_LINES lines, and _split
+    converts each line from the first block that _table does not read.
     """
     deflator = _parse_deflator_csv(Path(deflator_path))
+    tables, lines, fault = [np.empty(0, _TABLE)], [], None  # lines: of rows, by block
     with _open(path) as f:
-        with suppress(ValueError, Warning):  # else convert it line by line
-            return Panel(_records(_read_table(path, f), deflator, path, f),
-                         deflator)
-        rows, fault = [], None
-        try:
-            for _, row in read_table(path, PANEL_HEADER, _PANEL_TYPES, f):
-                rows.append(row)
-        except MalformedRow as exc:  # raised once the rows before it pass
-            fault = exc
-        # years stay Python ints until the rules pass: one may not fit int64
-        columns = list(zip(*rows)) or [()] * len(_PANEL_TYPES)
-        records = _records([np.array(column, float if t is float else object)
-                            for column, t in zip(columns, _PANEL_TYPES)],
-                           deflator, path, f)
+        n = _header(path, f, PANEL_HEADER) + 1
+        while (block := list(islice(f, _READ_LINES))) and (
+                table := _table(block)) is not None:
+            tables.append(table)
+            lines.append(range(n, n + len(block)) if len(table) == len(block)
+                         else [n + i for i, line in enumerate(block) if line.strip()])
+            n += len(block)
+        columns = [np.concatenate([t[name] for t in tables])
+                   for name in _TABLE.names]
+        del tables  # the blocks, once their columns are copied out
+        if block:  # line by line from this block on
+            rows = []
+            try:
+                for line_no, line in _lines(path, chain(block, f), n):
+                    rows.append((line_no, *_split(line_no, line, _PANEL_TYPES)))
+            except MalformedRow as exc:  # raised once the rows before it pass
+                fault = exc
+            line_nos, *tail = list(zip(*rows)) or [()] * 7
+            lines.append(line_nos)
+            # loadtxt's rows take _split's types: a later year may not fit int64
+            columns = [np.concatenate([column, np.array(new, float)])
+                       if t is float else
+                       np.array([*column.astype(t).tolist(), *new], object)
+                       for column, new, t in zip(columns, tail, _PANEL_TYPES)]
+    records = _records(columns, deflator, lambda row: next(
+        islice(chain.from_iterable(lines), row, None)))
     if fault is not None:
         raise fault
     return Panel(records=records, deflator=deflator)

@@ -391,6 +391,35 @@ def test_missing_input_file_names_path(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["panel-dir", "deflator-dir", "out-file",
+                                  "out-under-file"])
+def test_unusable_path_exits_one_naming_it(tmp_path, small_panel, capsys,
+                                           case):
+    # a directory as an input, or an --out that is a file or sits under one
+    panel_path, deflator_path = small_panel
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    path = {"panel-dir": tmp_path, "deflator-dir": tmp_path,
+            "out-file": a_file, "out-under-file": a_file / "sub"}[case]
+    args = {"--panel": panel_path, "--deflator": deflator_path,
+            "--out": str(tmp_path / "o")}
+    args[f"--{case.split('-')[0]}"] = str(path)
+    assert cli.main(["dist", *(x for kv in args.items() for x in kv)]) == 1
+    *notes, error = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"debtkit: error: {path}: ")
+    assert all(note.startswith("note: ") for note in notes)
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="needs a user that file modes bind")
+def test_unreadable_panel_exits_one(small_panel, capsys):
+    panel_path, deflator_path = small_panel
+    os.chmod(panel_path, 0)
+    assert cli.main(["dist", "--panel", panel_path, "--deflator",
+                     deflator_path, "--out", panel_path + ".out"]) == 1
+    assert capsys.readouterr().err.startswith(f"debtkit: error: {panel_path}: ")
+
+
 def test_usage_errors_exit_one(tmp_path, small_panel, capsys):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate"]) == 1
@@ -628,11 +657,16 @@ def test_constant_start_year_leaves_later_cells(tmp_path, capsys):
     ("threshold", "{i}e307", 3, "numerical failure: gamma shape start"),
     # no positive debt leaves the default Zipf window empty
     ("dist", "0.0", 2, "data error: d has 0 positive values"),
+    # d's maximum is a few subnormals: its 50 bins are too narrow for a
+    # finite density
+    ("dist", ("5e-321", "1e-320", "1.5e-320", "4e-320"), 3,
+     "numerical failure: histogram density is not finite"),
 ])
 def test_failed_fit_leaves_no_out_dir(tmp_path, capsys, command, debt, code,
                                       message):
-    rows = [f"{c}{c}{c},2000,1.0,{debt.format(i=i)},1.0,LOW"
-            for i, c in enumerate("ABCDEF", start=1)]
+    debts = debt if isinstance(debt, tuple) else [
+        debt.format(i=i) for i in range(1, 7)]
+    rows = [f"{c}{c}{c},2000,1.0,{x},1.0,LOW" for c, x in zip("ABCDEF", debts)]
     panel_path, deflator_path = _write_panel(tmp_path, rows)
     out = tmp_path / "o"
     with warnings.catch_warnings():

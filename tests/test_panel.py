@@ -633,13 +633,13 @@ def _check_record(code: str, year: int, gdp: float, debt: float,
                               f"{rule}", line=line)
 
 
-def _ingest_rows(path: "str | Path", deflator: panel.DeflatorSeries,
-                 f=None) -> RecordColumns:
+def _ingest_rows(path: "str | Path",
+                 deflator: panel.DeflatorSeries) -> RecordColumns:
     """The panel's records, checked row by row: the first bad line raises.
     The earlier reader, kept as the oracle that ingest_csv must equal."""
     records: list[tuple] = []
     seen: set[tuple[str, int]] = set()
-    rows = read_table(path, panel.PANEL_HEADER, _PANEL_TYPES, f)
+    rows = read_table(path, panel.PANEL_HEADER, _PANEL_TYPES)
     for line_no, (code, year, gdp, debt, population, group) in rows:
         code = code.strip().upper()
         try:
@@ -712,15 +712,29 @@ _ODD_VALID_PANEL = "\r\n".join([
     "  # indented", "\tbra\t, 2001 ,1e9,1e8,1000.0, Medium ", ""])
 
 
+def _split_lines(monkeypatch) -> list[int]:
+    """The lines that _split converts as panel rows, filled in as a panel
+    is read."""
+    split, lines = panel._split, []
+
+    def panel_rows(line_no, line, types=None):
+        if types == _PANEL_TYPES:
+            lines.append(line_no)
+        return split(line_no, line, types)
+
+    monkeypatch.setattr(panel, "_split", panel_rows)
+    return lines
+
+
 def _per_line(monkeypatch):
-    """Make read_table fail on the panel, so that only loadtxt can read it."""
-    read_table = panel.read_table
+    """Make _split fail on a panel row, so that only loadtxt can read it."""
+    split = panel._split
 
-    def deflator_only(path, header, *args):
-        assert header != panel.PANEL_HEADER, "a panel was read line by line"
-        return read_table(path, header, *args)
+    def header_only(line_no, line, types=None):
+        assert types != _PANEL_TYPES, "a panel was read line by line"
+        return split(line_no, line, types)
 
-    monkeypatch.setattr(panel, "read_table", deflator_only)
+    monkeypatch.setattr(panel, "_split", header_only)
 
 
 def test_valid_panel_never_reaches_row_loop(paths, monkeypatch, tmp_path):
@@ -817,8 +831,7 @@ def test_quoted_panel_names_a_rule_only_before_a_bad_line(paths, rule_first):
     expected = _ingested(lambda: _ingest_rows(p, panel._parse_deflator_csv(d)))
     assert expected[0] is (NonPositive if rule_first else MalformedRow)
     assert expected[2] == 3
-    with panel._open(p) as f, pytest.raises(ValueError):
-        panel._read_table(p, f)
+    assert panel._table(p.read_text().splitlines(True)[1:]) is None
     assert _ingested(lambda: panel.ingest_csv(p, d).records) == expected
 
 
@@ -833,6 +846,58 @@ def test_comment_line_that_loadtxt_reads_as_a_row(paths, after):
     expected = _ingested(lambda: _ingest_rows(p, panel._parse_deflator_csv(d)))
     assert isinstance(expected, list) == (after == "")
     assert _ingested(lambda: panel.ingest_csv(p, d).records) == expected
+
+
+def _plain_panel(n_rows: int) -> list[str]:
+    """The header and n_rows valid rows of a panel that loadtxt reads."""
+    codes = map("".join, product(string.ascii_uppercase, repeat=3))
+    keys = product(codes, (1999, 2000, 2001))
+    return [PANEL_HEADER, *(f"{code},{year},{1e9 + i},{5e8 + i},{1e6 + i},LOW"
+                            for i, (code, year) in zip(range(n_rows), keys))]
+
+
+def test_bad_number_late_converts_only_its_block(paths, tmp_path,
+                                                 monkeypatch):
+    # loadtxt fails on the last block: the rows it read before are not
+    # parsed again, and the bad line is named as the row loop names it
+    _, d = paths
+    block = panel._READ_LINES
+    lines = _plain_panel(2 * block + block // 2)
+    fields = lines[-1].split(",")
+    fields[2] = "abc"
+    lines[-1] = ",".join(fields)
+    p = tmp_path / "panel.csv"
+    p.write_text("\n".join([*lines, ""]))
+    expected = _ingested(lambda: _ingest_rows(p, panel._parse_deflator_csv(d)))
+    assert expected[0] is MalformedRow and expected[2] == len(lines)
+    split_lines = _split_lines(monkeypatch)
+    assert _ingested(lambda: panel.ingest_csv(p, d).records) == expected
+    # the header is line 1, so block k starts at line 2 + k * block
+    assert split_lines == list(range(2 + 2 * block, len(lines) + 1))
+
+
+@pytest.mark.parametrize("bad_last", [False, True])
+@pytest.mark.parametrize("odd", ["", "# a note"])
+def test_odd_line_sends_only_its_block_line_by_line(paths, tmp_path,
+                                                    monkeypatch, odd, bad_last):
+    # a blank line right after the header is one loadtxt skips, and rows keep
+    # their lines; a # line mid-panel sends its block and later ones to _split
+    _, d = paths
+    block = panel._READ_LINES
+    lines = _plain_panel(2 * block + block // 2)
+    if bad_last:  # a rule, found on the columns, names the last line
+        lines[-1] = lines[-1].replace(",LOW", ",RICH")
+    at = len(lines) // 2 if odd else 1
+    lines.insert(at, odd)
+    p = tmp_path / "panel.csv"
+    p.write_text("\n".join([*lines, ""]))
+    expected = _ingested(lambda: _ingest_rows(p, panel._parse_deflator_csv(d)))
+    assert isinstance(expected, tuple) == bad_last
+    split_lines = _split_lines(monkeypatch)
+    assert _ingested(lambda: panel.ingest_csv(p, d).records) == expected
+    start = 2 + (at - 1) // block * block  # the first line of at's block
+    assert split_lines == ([n for n in range(start, len(lines) + 1)
+                            if n != at + 1] if odd else [])
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -885,8 +950,8 @@ def _traced_peak(read):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_panel_from_a_pipe_is_buffered_as_bytes(paths, tmp_path):
-    # a pipe's panel is held in memory once, as its bytes: text would cost
-    # up to 4 bytes a character once read
+    # a pipe's panel is read as a file's is, a block of lines at a time,
+    # and is never held in memory whole
     p, d = paths
     codes = ("".join(c) for c in product(string.ascii_uppercase, repeat=3))
     data = "\n".join([PANEL_HEADER, *(
@@ -1146,13 +1211,12 @@ def test_leading_bom_is_ignored(paths, tmp_path):
                            (PANEL_TEXT.replace(",HIGH", ',"HIGH"'), False)):
         bom_p.write_text(_BOM + text, encoding="utf-8")
         with panel._open(bom_p) as f:
-            try:
-                records = panel._records(panel._read_table(bom_p, f), deflator,
-                                         bom_p, f)
-            except ValueError:
-                records = None
-        assert (records is not None) == columnar
+            next(f)  # the header, its mark dropped
+            table = panel._table(list(f))
+        assert (table is not None) == columnar
         if columnar:
+            records = panel._records([table[name] for name in table.dtype.names],
+                                     deflator, lambda row: row + 2)
             assert _column_bits(records) == expected
         assert _column_bits(_ingest_rows(bom_p, deflator)) == expected
         assert _column_bits(panel.ingest_csv(bom_p, bom_d).records) == expected
