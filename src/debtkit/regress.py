@@ -10,16 +10,18 @@ S = 1 - beta*dt. beta > 0 means initially small values grow faster
 (convergence); beta < 0 means divergence. All logarithms are natural.
 
 Every cell, of slope_surface's grid or of convergence_regression, comes
-from one pairing, _cells, through obs.index, the panel's one YearIndex, so
-memory grows with the rows, not countries x years.
+from one pass, _cells, over obs.index, the panel's one YearIndex: each
+start year t meets all its later years in one slice of the rows in (year,
+code) order, so memory grows with the rows, not countries x years.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -92,29 +94,27 @@ def ols(x: Sequence[float], y: Sequence[float]) -> OlsFit:
     that np.mean makes of a 1-d float64 array, so the bits are np.mean's
     without its wrapper.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     n = x.size
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    x_mean = np.add.reduce(x) / n
-    y_mean = np.add.reduce(y) / n
-    xc = x - x_mean
-    yc = y - y_mean
-    s_xx = float(xc @ xc)
+    x_mean, y_mean = np.add.reduce(x) / n, np.add.reduce(y) / n
+    xc, yc = x - x_mean, y - y_mean
+    s_xx = float(xc.dot(xc))
     if s_xx == 0.0:
         raise DegenerateX("x has zero variance")
-    slope = float(xc @ yc) / s_xx
+    slope = float(xc.dot(yc)) / s_xx
     intercept = float(y_mean - slope * x_mean)
-    ss_tot = float(yc @ yc)
+    ss_tot = float(yc.dot(yc))
     if ss_tot == 0.0:
         return OlsFit(slope=slope, intercept=intercept, r_squared=0.0, n=n,
                       constant_y=True)
-    residual = y - (intercept + slope * x)
-    r_squared = 1.0 - float(residual @ residual) / ss_tot
-    r_squared = min(max(r_squared, 0.0), 1.0)
+    r = x * slope  # y - (intercept + slope * x), in one buffer
+    r += intercept
+    np.subtract(y, r, out=r)
+    r_squared = min(max(1.0 - float(r.dot(r)) / ss_tot, 0.0), 1.0)
     return OlsFit(slope=slope, intercept=intercept, r_squared=r_squared, n=n)
 
 
@@ -131,12 +131,13 @@ def growth_rate(v_start: float, v_end: float, dt: float) -> float:
     return math.log(v_end / v_start) / dt
 
 
-def _log_log_fit(x: np.ndarray, y: np.ndarray, label: str) -> OlsFit:
+def _log_log_fit(x: np.ndarray, y: np.ndarray, label: str, *args) -> OlsFit:
     """OLS of y on x, the logs of the countries usable at both; fewer than
-    3 of them raise TooFewCountries."""
+    3 of them raise TooFewCountries, naming label.format(*args)."""
     if len(x) < 3:
         raise TooFewCountries(
-            f"{len(x)} countries with positive {label}; need >= 3")
+            f"{len(x)} countries with positive {label.format(*args)}; "
+            f"need >= 3")
     return ols(x, y)
 
 
@@ -157,38 +158,54 @@ def _cells(obs: PanelColumns, variable: Variable, t_list: Sequence[int],
     """(variable, t, dt, x, y, n_excluded) for each t in t_list and dt in
     dts with t and t + dt panel years: x and y are the logs of v at t and
     t + dt of the countries positive at both, in country-code order, and
-    n_excluded counts the others present at either."""
+    n_excluded counts the others present at either. x and y are views
+    into the arrays of t's slice."""
     index = obs.index
-    values = getattr(obs, _ATTRIBUTES[variable])
     years = list(index.rows)
-
-    @cache  # each year is read once, for this call only
-    def year(y):  # its rows' code ranks, which are positive, and their logs
-        v = values[index.rows[y]]
-        return (index.rank[index.rows[y]], v > 0,
-                np.log(v, out=np.zeros_like(v), where=v > 0))
-
+    # per start year, its position in years and the run [j, k) of its later
+    # years; the rows of these years alone are read, in one order
+    runs = [(bisect_left(years, t), bisect_left(years, t + dts.start),
+             bisect_left(years, t + dts.stop)) for t in t_list
+            if t in index.rows]
+    if not runs:
+        return
+    positions = sorted({p for i, j, k in runs for p in (i, *range(j, k))})
+    read = [years[p] for p in positions]
+    sizes = [len(index.rows[year]) for year in read]
+    edges = list(accumulate(sizes, initial=0))
+    order = np.concatenate([index.rows[year] for year in read])
+    values = getattr(obs, _ATTRIBUTES[variable])[order]
+    ranks, positive = index.rank[order], values > 0
+    logs = np.log(values, out=np.zeros_like(values), where=positive)
     # year t is scattered by country rank, the years after it gathered
     logs_at = np.zeros(len(index.codes))
     positive_at, present_at = np.zeros((2, len(index.codes)), dtype=bool)
-    for t in (t for t in t_list if t in index.rows):
-        ranks, positive, logs = year(t)
-        logs_at[ranks], positive_at[ranks] = logs, positive
-        present_at[ranks] = True
-        for end in years[bisect_left(years, t + dts.start):
-                         bisect_left(years, t + dts.stop)]:
-            there, positive_there, logs_there = year(end)
-            usable = positive_at[there] & positive_there
-            x = logs_at[there[usable]]
-            yield (variable, t, end - t, x, logs_there[usable], len(ranks)
-                   + len(there) - np.count_nonzero(present_at[there]) - len(x))
-        positive_at[ranks] = present_at[ranks] = False
+    for i, j, k in runs:
+        # the same positions in read, where each run is still one run
+        t, (i, j, k) = years[i], [bisect_left(positions, p) for p in (i, j, k)]
+        at_t, later = slice(edges[i], edges[i + 1]), slice(edges[j], edges[k])
+        here, there = ranks[at_t], ranks[later]
+        logs_at[here], positive_at[here] = logs[at_t], positive[at_t]
+        present_at[here] = True
+        usable = positive_at[there] & positive[later]
+        offsets = [edge - edges[j] for edge in edges[j:k]]
+        n_usable, n_both = np.add.reduceat([usable, present_at[there]],
+                                           offsets, axis=1,
+                                           dtype=np.intp).tolist()
+        x, y = logs_at[there[usable]], logs[later][usable]
+        cut = 0
+        for end, size, n, both in zip(read[j:k], sizes[j:k], n_usable, n_both):
+            yield (variable, t, end - t, x[cut:cut + n], y[cut:cut + n],
+                   sizes[i] + size - both - n)
+            cut += n
+        positive_at[here] = present_at[here] = False
 
 
 def _fit_cell(variable: Variable, t: int, dt: int, x: np.ndarray,
               y: np.ndarray, n_excluded: int) -> ConvergenceFit:
     """Regress y, log v(t+dt), on x, log v(t): one cell of _cells."""
-    fit = _log_log_fit(x, y, f"{variable.value} at both {t} and {t + dt}")
+    fit = _log_log_fit(x, y, "{} at both {} and {}", variable.value, t,
+                       t + dt)
     return ConvergenceFit(variable=variable, t=t, dt=dt, S=fit.slope,
                           beta=(1.0 - fit.slope) / dt, alpha=fit.intercept / dt,
                           r_squared=fit.r_squared, n_countries=fit.n,
@@ -202,6 +219,7 @@ def convergence_regression(obs: PanelColumns, variable: "Variable | str",
     Countries lacking either endpoint, or with a non-positive value at
     either endpoint, are excluded and counted in n_excluded.
     """
+    t, dt = operator.index(t), operator.index(dt)
     if dt < 1:
         raise ValueError(f"dt must be >= 1, got {dt}")
     obs.index.year(t), obs.index.year(t + dt)  # EmptyCrossSection if absent
@@ -219,6 +237,7 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
     in log v(t) are fitted; every other grid cell is skipped and counted.
     Entry order follows the grid order (t outer, dt inner).
     """
+    t_list, dt_max = list(map(operator.index, t_list)), operator.index(dt_max)
     if not t_list:
         raise ValueError("t_list must be nonempty")
     if dt_max < 1:
@@ -235,6 +254,7 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
 def write_surface_csv(surface: SlopeSurface, path,
                       header_comment: "str | None" = None) -> None:
     """Serialize a SlopeSurface to CSV: variable,t,dt,S,beta,alpha,r_squared,n_countries."""
-    write_table(path, SURFACE_CSV_HEADER, list(zip(*(
-        (e.variable.value, e.t, e.dt, e.S, e.beta, e.alpha, e.r_squared,
-         e.n_countries) for e in surface.entries))), header_comment)
+    write_table(path, SURFACE_CSV_HEADER, [
+        [surface.variable.value] * len(surface.entries),
+        *([getattr(e, name) for e in surface.entries]
+          for name in SURFACE_CSV_HEADER[1:])], header_comment)

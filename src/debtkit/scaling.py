@@ -36,8 +36,8 @@ def _fit_year(obs: PanelColumns, rows, year: int) -> ScalingFit:
     """OLS of log g on log d over the rows of year with positive d and g."""
     d, g = obs.d[rows], obs.g[rows]
     usable = (d > 0) & (g > 0)
-    fit = _log_log_fit(np.log(d[usable]), np.log(g[usable]),
-                       f"d and g in {year}")
+    fit = _log_log_fit(np.log(d[usable]), np.log(g[usable]), "d and g in {}",
+                       year)
     return ScalingFit(year=year, gamma=fit.slope, log_A=fit.intercept,
                       r_squared=fit.r_squared, n_countries=fit.n,
                       n_excluded=len(rows) - fit.n)

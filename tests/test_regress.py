@@ -464,3 +464,87 @@ _OLS_COORD = st.one_of(st.sampled_from([0.0, 1.0]),
 def test_ols_bitwise_equal_np_mean_reference(points):
     x, y = np.array(points, dtype=float).reshape(-1, 2).T.copy()
     assert _outcome(regress.ols, x, y) == _outcome(_ref_ols, x, y)
+
+
+def _wide_panel(n_countries, seed):
+    """n_countries over 1990-2010 with missing years and zero-debt rows;
+    the last country enters only in 2004."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n_countries):
+        log_d, log_g = rng.normal(0.0, 1.5), rng.normal(1.0, 0.8)
+        for year in range(2004 if i == n_countries - 1 else 1990, 2011):
+            log_d = 0.2 + 0.9 * log_d + rng.normal(0.0, 0.3)
+            log_g = 0.1 + 0.95 * log_g + rng.normal(0.0, 0.1)
+            draw = rng.random()
+            if draw < 0.1:  # a missing country-year
+                continue
+            d = 0.0 if draw < 0.15 else math.exp(log_d)
+            g = math.exp(log_g)
+            rows.append((f"W{i:03d}", year, d, g, d / g,
+                         panel.IncomeGroup.HIGH))
+    return panel.PanelColumns.from_rows(rows)
+
+
+@pytest.mark.parametrize("n_countries, seed", [(40, 1), (130, 2), (300, 3)])
+def test_wide_panels_bitwise_equal_per_cell_reference(n_countries, seed):
+    obs = _wide_panel(n_countries, seed)
+    years = sorted(set(obs.year.tolist()))
+    for variable in panel.Variable:
+        for t_list, dt_max, r2_min in ((years, 15, 0.0), (years[::-1], 3, 0.5),
+                                       ([1989, 1995, 2004, 2010], 7, 0.9)):
+            assert _outcome(regress.slope_surface, obs, variable, t_list,
+                            dt_max, r2_min) == _outcome(
+                _ref_slope_surface, obs, variable, t_list, dt_max, r2_min)
+        for t, dt in ((1990, 1), (1990, 15), (1997, 6), (2003, 2), (2004, 6),
+                      (2009, 1)):
+            assert _outcome(regress.convergence_regression, obs, variable, t,
+                            dt) == _outcome(_ref_convergence_regression, obs,
+                                            variable, t, dt)
+
+
+def _python_typed(fit):
+    """True if each field of fit is a Variable or a plain int or float."""
+    return all(type(getattr(fit, f.name)) in (int, float, panel.Variable)
+               for f in dataclasses.fields(fit))
+
+
+@pytest.mark.parametrize("integer", [int, np.int64, np.int32])
+def test_fits_carry_python_numbers(integer):
+    obs = panel.PanelColumns.from_rows(_noiseless_panel(
+        0.1, 0.95, [2000, 2001, 2002], [0.5, 1.0, 2.0, 4.0]))
+    obs = obs.compress(np.arange(len(obs)) != 2)  # AAA has no 2002
+    fit = regress.convergence_regression(obs, "d", integer(2000), integer(2))
+    assert fit.n_excluded == 1 and _python_typed(fit)
+    for t_list in ([integer(2000), integer(2001)],
+                   np.array([2000, 2001], integer)):
+        surface = regress.slope_surface(obs, "d", t_list, integer(2))
+        assert len(surface.entries) == 3
+        assert all(map(_python_typed, surface.entries))
+
+
+def test_float_horizons_are_rejected():
+    obs = panel.PanelColumns.from_rows(
+        _noiseless_panel(0.1, 0.9, [2000, 2001], [0.5, 1.0, 2.0]))
+    with pytest.raises(TypeError):
+        regress.convergence_regression(obs, "d", 2000, 1.0)
+    with pytest.raises(TypeError):
+        regress.slope_surface(obs, "d", [2000], 1.0)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n=st.integers(3, 600), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e5, 1e200]))
+def test_ols_bits_do_not_depend_on_where_the_arrays_sit(n, seed, scale):
+    # slope_surface hands ols views into larger arrays, at any offset
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.normal(), 1.0, n) * scale
+    y = 0.8 * x + rng.normal(0.0, scale, n)
+    fresh = _outcome(regress.ols, x.copy(), y.copy())
+    x_buffer, y_buffer = rng.normal(size=(2, n + 8))
+    for x_at in range(8):
+        x_buffer[x_at:x_at + n] = x
+        for y_at in range(8):
+            y_buffer[y_at:y_at + n] = y
+            assert _outcome(regress.ols, x_buffer[x_at:x_at + n],
+                            y_buffer[y_at:y_at + n]) == fresh

@@ -96,3 +96,61 @@ def test_ols_spans_count_fitted_cells_under_cli_converge(tmp_path, capsys):
                    if span[1] == "regress.ols"]
     assert ols_parents == ["regress.slope_surface"] * sum(map(sum, counts))
     assert tracer.derive(spans)["regress.ols.calls"] == sum(map(sum, counts))
+
+
+def test_ols_spans_count_fitted_years_under_cli_scaling(tmp_path, capsys):
+    # every scaling year with enough countries is fitted by one regress.ols
+    # call under gamma_trend; 2003, with two countries, is skipped before it
+    from debtkit import cli
+
+    panel = tmp_path / "panel.csv"
+    deflator = tmp_path / "deflator.csv"
+    panel.write_text(
+        "country_code,year,gdp_nominal_usd,debt_nominal_usd,population,"
+        "income_group\n" + "".join(
+            f"{code},{year},{gdp + year % 7}e9,{debt}e8,1e6,HIGH\n"
+            for year in (2000, 2001, 2002)
+            for code, gdp, debt in (("AAA", 1, 9), ("BBB", 2, 7),
+                                    ("CCC", 3, 4), ("DDD", 4, 8)))
+        + "AAA,2003,1e9,1e8,1e6,HIGH\nBBB,2003,2e9,3e8,1e6,HIGH\n")
+    deflator.write_text("year,deflator\n2000,1.0\n2001,1.0\n2002,1.0\n"
+                        "2003,1.0\n")
+    tracer = _load_tracer()
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        assert cli.main(["scaling", "--panel", str(panel), "--deflator",
+                         str(deflator), "--out", str(tmp_path / "o")]) == 0
+    finally:
+        recorder.uninstall()
+    spans = recorder.take()
+    assert "(3 years)" in capsys.readouterr().out
+    ols_parents = [spans[span[0]][1] for span in spans
+                   if span[1] == "regress.ols"]
+    assert ols_parents == ["scaling.gamma_trend"] * 3
+    metrics = tracer.derive(spans)
+    assert metrics["regress.ols.calls"] == metrics["scaling.fits"] == 3
+
+
+def test_one_ols_span_per_convergence_regression():
+    from debtkit import panel, regress
+
+    obs = panel.PanelColumns.from_rows([
+        (code, year, v * (1 + year - 2000), 1.0, v, panel.IncomeGroup.LOW)
+        for year in (2000, 2001) for code, v in
+        (("AAA", 1.0), ("BBB", 2.0), ("CCC", 5.0))])
+    tracer = _load_tracer()
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        regress.convergence_regression(obs, "d", 2000, 1)
+    finally:
+        recorder.uninstall()
+    spans = recorder.take()
+    assert [(spans[parent][1] if parent >= 0 else None, name)
+            for parent, name, *_ in spans] == [
+        (None, "regress.convergence_regression"),
+        ("regress.convergence_regression", "regress.ols")]
+    metrics = tracer.derive(spans)
+    assert (metrics["regress.cells"], metrics["regress.fits"],
+            metrics["regress.ols.calls"]) == (1, 1, 1)
