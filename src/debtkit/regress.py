@@ -12,7 +12,10 @@ S = 1 - beta*dt. beta > 0 means initially small values grow faster
 Every cell, of slope_surface's grid or of convergence_regression, comes
 from one pass, _cells, over obs.index, the panel's one YearIndex: each
 start year t meets all its later years in one slice of the rows in (year,
-code) order, so memory grows with the rows, not countries x years.
+code) order, so memory grows with the rows, not countries x years. Every
+least-squares line, of a cell, a scaling year or a Zipf fit, comes from one
+kernel, _segment_fits: slope_surface hands it a start year's cells at
+once, and ols is its one-segment case.
 """
 
 from __future__ import annotations
@@ -87,35 +90,79 @@ class SlopeSurface:
     n_skipped: int = 0   # grid cells without enough data
 
 
-def ols(x: Sequence[float], y: Sequence[float]) -> OlsFit:
-    """Least squares of y on x via mean-centered normal equations.
+def _spread(rows: list, counts: Sequence[int]):
+    """Each row's value per segment repeated over the segment's points; with
+    one segment, each row's one value as a scalar."""
+    if len(counts) == 1:
+        return [row[0] for row in rows]
+    return np.repeat(rows, counts, axis=1)
 
-    Each mean is taken once, as np.add.reduce(v) / n: the sum and division
-    that np.mean makes of a 1-d float64 array, so the bits are np.mean's
-    without its wrapper.
+
+def _segment_fits(x: np.ndarray, y: np.ndarray,
+                  counts: Sequence[int]) -> list:
+    """Least squares of y on x over each consecutive segment of x and y,
+    counts[k] points long: (slope, intercept, r_squared, constant_y) per
+    segment, or None where ols raises TooFewPoints or DegenerateX.
+
+    Each segment gets the bits of ols on it alone. Its means are
+    np.add.reduce(v) / n, the sum and division that np.mean makes of a 1-d
+    float64 array, and its sums of squares are dot products of its own
+    slices; the centring and the residuals are one array operation over all
+    segments.
     """
+    m = len(counts)
+    # the segments that ols would not reject for having fewer than 3 points
+    starts = accumulate(counts, initial=0)
+    segments = [(k, slice(a, a + n), n)
+                for k, (a, n) in enumerate(zip(starts, counts)) if n >= 3]
+    x_means, y_means = [0.0] * m, [0.0] * m
+    for k, at, n in segments:
+        x_means[k] = float(np.add.reduce(x[at])) / n
+        y_means[k] = float(np.add.reduce(y[at])) / n
+    x_mean, y_mean = _spread([x_means, y_means], counts)
+    xc, yc = x - x_mean, y - y_mean
+    # a segment with no residual to sum keeps slope and intercept 0
+    fits, slopes, intercepts, lines = [None] * m, [0.0] * m, [0.0] * m, []
+    for k, at, n in segments:
+        xs, ys = xc[at], yc[at]
+        s_xx = float(xs.dot(xs))
+        if s_xx == 0.0:
+            continue
+        slope = float(xs.dot(ys)) / s_xx
+        intercept = y_means[k] - slope * x_means[k]
+        ss_tot = float(ys.dot(ys))
+        if ss_tot == 0.0:
+            fits[k] = slope, intercept, 0.0, True
+        else:
+            slopes[k], intercepts[k] = slope, intercept
+            lines.append((k, at, ss_tot))
+    if lines:
+        slope, intercept = _spread([slopes, intercepts], counts)
+        r = x * slope  # y - (intercept + slope * x), in one buffer
+        r += intercept
+        np.subtract(y, r, out=r)
+    for k, at, ss_tot in lines:
+        rs = r[at]
+        fits[k] = (slopes[k], intercepts[k],
+                   min(max(1.0 - float(rs.dot(rs)) / ss_tot, 0.0), 1.0), False)
+    return fits
+
+
+def ols(x: Sequence[float], y: Sequence[float]) -> OlsFit:
+    """Least squares of y on x via mean-centered normal equations: the
+    one-segment case of _segment_fits."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     n = x.size
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
-    x_mean, y_mean = np.add.reduce(x) / n, np.add.reduce(y) / n
-    xc, yc = x - x_mean, y - y_mean
-    s_xx = float(xc.dot(xc))
-    if s_xx == 0.0:
+    fit, = _segment_fits(x, y, [n])
+    if fit is None:
         raise DegenerateX("x has zero variance")
-    slope = float(xc.dot(yc)) / s_xx
-    intercept = float(y_mean - slope * x_mean)
-    ss_tot = float(yc.dot(yc))
-    if ss_tot == 0.0:
-        return OlsFit(slope=slope, intercept=intercept, r_squared=0.0, n=n,
-                      constant_y=True)
-    r = x * slope  # y - (intercept + slope * x), in one buffer
-    r += intercept
-    np.subtract(y, r, out=r)
-    r_squared = min(max(1.0 - float(r.dot(r)) / ss_tot, 0.0), 1.0)
-    return OlsFit(slope=slope, intercept=intercept, r_squared=r_squared, n=n)
+    slope, intercept, r_squared, constant_y = fit
+    return OlsFit(slope=slope, intercept=intercept, r_squared=r_squared, n=n,
+                  constant_y=constant_y)
 
 
 def growth_rate(v_start: float, v_end: float, dt: float) -> float:
@@ -155,11 +202,11 @@ def _fitted(fit, cells) -> list:
 
 def _cells(obs: PanelColumns, variable: Variable, t_list: Sequence[int],
            dts: range):
-    """(variable, t, dt, x, y, n_excluded) for each t in t_list and dt in
-    dts with t and t + dt panel years: x and y are the logs of v at t and
-    t + dt of the countries positive at both, in country-code order, and
-    n_excluded counts the others present at either. x and y are views
-    into the arrays of t's slice."""
+    """(t, x, y, cells) for each panel year t in t_list; cells holds
+    (dt, n, n_excluded) for each dt in dts with t + dt a panel year, in
+    order. x and y are the logs of v at t and t + dt of the countries
+    positive at both, cell after cell, n points each in country-code order;
+    n_excluded counts the others present at either."""
     index = obs.index
     years = list(index.rows)
     # per start year, its position in years and the run [j, k) of its later
@@ -192,23 +239,19 @@ def _cells(obs: PanelColumns, variable: Variable, t_list: Sequence[int],
         n_usable, n_both = np.add.reduceat([usable, present_at[there]],
                                            offsets, axis=1,
                                            dtype=np.intp).tolist()
-        x, y = logs_at[there[usable]], logs[later][usable]
-        cut = 0
-        for end, size, n, both in zip(read[j:k], sizes[j:k], n_usable, n_both):
-            yield (variable, t, end - t, x[cut:cut + n], y[cut:cut + n],
-                   sizes[i] + size - both - n)
-            cut += n
+        yield t, logs_at[there[usable]], logs[later][usable], [
+            (end - t, n, sizes[i] + size - both - n) for end, size, n, both
+            in zip(read[j:k], sizes[j:k], n_usable, n_both)]
         positive_at[here] = present_at[here] = False
 
 
-def _fit_cell(variable: Variable, t: int, dt: int, x: np.ndarray,
-              y: np.ndarray, n_excluded: int) -> ConvergenceFit:
-    """Regress y, log v(t+dt), on x, log v(t): one cell of _cells."""
-    fit = _log_log_fit(x, y, "{} at both {} and {}", variable.value, t,
-                       t + dt)
-    return ConvergenceFit(variable=variable, t=t, dt=dt, S=fit.slope,
-                          beta=(1.0 - fit.slope) / dt, alpha=fit.intercept / dt,
-                          r_squared=fit.r_squared, n_countries=fit.n,
+def _convergence_fit(variable: Variable, t: int, dt: int, n: int,
+                     n_excluded: int, slope: float, intercept: float,
+                     r_squared: float) -> ConvergenceFit:
+    """The ConvergenceFit of cell (t, dt) from its least-squares line."""
+    return ConvergenceFit(variable=variable, t=t, dt=dt, S=slope,
+                          beta=(1.0 - slope) / dt, alpha=intercept / dt,
+                          r_squared=r_squared, n_countries=n,
                           n_excluded=n_excluded)
 
 
@@ -223,8 +266,13 @@ def convergence_regression(obs: PanelColumns, variable: "Variable | str",
     if dt < 1:
         raise ValueError(f"dt must be >= 1, got {dt}")
     obs.index.year(t), obs.index.year(t + dt)  # EmptyCrossSection if absent
-    return _fit_cell(*next(_cells(obs, Variable(variable), [t],
-                                  range(dt, dt + 1))))
+    variable = Variable(variable)
+    _, x, y, [(_, n, n_excluded)] = next(_cells(obs, variable, [t],
+                                                range(dt, dt + 1)))
+    fit = _log_log_fit(x, y, "{} at both {} and {}", variable.value, t,
+                       t + dt)
+    return _convergence_fit(variable, t, dt, n, n_excluded, fit.slope,
+                            fit.intercept, fit.r_squared)
 
 
 def slope_surface(obs: PanelColumns, variable: "Variable | str",
@@ -235,7 +283,8 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
     Fits with r_squared below r2_min are dropped and counted. Only cells of
     two panel years with at least 3 countries positive at both and spread
     in log v(t) are fitted; every other grid cell is skipped and counted.
-    Entry order follows the grid order (t outer, dt inner).
+    Entry order follows the grid order (t outer, dt inner). Each start
+    year's cells are fitted in one _segment_fits pass.
     """
     t_list, dt_max = list(map(operator.index, t_list)), operator.index(dt_max)
     if not t_list:
@@ -243,8 +292,11 @@ def slope_surface(obs: PanelColumns, variable: "Variable | str",
     if dt_max < 1:
         raise ValueError(f"dt_max must be >= 1, got {dt_max}")
     variable = Variable(variable)
-    fits = _fitted(_fit_cell,
-                   _cells(obs, variable, t_list, range(1, dt_max + 1)))
+    fits = [_convergence_fit(variable, t, *cell, *fit[:3])
+            for t, x, y, cells in _cells(obs, variable, t_list,
+                                         range(1, dt_max + 1))
+            for cell, fit in zip(cells, _segment_fits(
+                x, y, [n for _, n, _ in cells])) if fit is not None]
     entries = tuple(fit for fit in fits if not fit.r_squared < r2_min)
     return SlopeSurface(variable=variable, entries=entries, r2_min=r2_min,
                         n_dropped=len(fits) - len(entries),

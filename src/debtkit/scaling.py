@@ -7,6 +7,7 @@ on log d, matching the power-law form above.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,6 +46,7 @@ def _fit_year(obs: PanelColumns, rows, year: int) -> ScalingFit:
 
 def fit_gdp_debt_scaling(obs: PanelColumns, year: int) -> ScalingFit:
     """OLS of log g on log d over countries with positive d and g in a year."""
+    year = operator.index(year)
     return _fit_year(obs, obs.index.year(year), year)
 
 
@@ -54,6 +56,7 @@ def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
 
     Skipped years are recoverable as set(years) minus the fitted years.
     """
+    years = list(map(operator.index, years))
     if not years:
         raise ValueError("years must be nonempty")
     rows = obs.index.rows

@@ -11,9 +11,10 @@
   byte for byte the same on shuffled rows. `dist` does too, except
   `gamma_fit*.json`: its means, and those in `threshold_summary.json`, sum
   the sample in row order, which moves their last bits.
-* BLAS threads. `converge` and `scaling` fit every cell and year by `ols`,
-  whose means are add-reductions and whose sums of squares are BLAS dot
-  products; they write the same bytes with one BLAS thread and with two.
+* BLAS threads. `converge` and `scaling` fit every cell and year with the
+  bits of `ols`, whose means are add-reductions and whose sums of squares
+  are BLAS dot products; they write the same bytes with one BLAS thread and
+  with two.
 
 The bounds are four times the largest change measured on this panel. Over
 every k in [-150, 150], S, beta and gamma moved by at most 6.1e-15 and

@@ -8,10 +8,11 @@ same bits, or raise the same error with the same message.
 import dataclasses
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from debtkit import errors, panel, regress, scaling
@@ -249,13 +250,15 @@ def test_slope_surface_fits_only_panel_year_pairs(monkeypatch):
     rows = [row for row in rows if row[1] != 2010 or row[0] in ("AAA", "BBB")]
     obs = panel.PanelColumns.from_rows(rows)
     calls = []
-    fit_cell = regress._fit_cell
+    cells_of = regress._cells
 
     def counted(*args):
-        calls.append(args[1:3])  # (t, dt)
-        return fit_cell(*args)
+        # each start year's cells go to one least-squares pass together
+        for t, x, y, cells in cells_of(*args):
+            calls.extend((t, dt) for dt, _, _ in cells)
+            yield t, x, y, cells
 
-    monkeypatch.setattr(regress, "_fit_cell", counted)
+    monkeypatch.setattr(regress, "_cells", counted)
     t_list = list(range(-7995, 2005))  # 10,000 initial years
     surface = regress.slope_surface(obs, "d", t_list, 10_000)
     pairs = [(t, end - t) for t in years for end in years if t < end]
@@ -431,7 +434,35 @@ _PANELS = st.sampled_from([1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 24]).flatmap(
                        min_size=n, max_size=n))
 
 
+def _country(*values):
+    """One country's (d, g, R) in each year of _YEARS, None where missing;
+    g and R follow d, so they repeat where d does."""
+    return [None if v is None else (v, 2.0 * v + 1.0, v / 3.0) for v in values]
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+# the panel's last year as a start year, after one with cells
+@example(cells=[_country(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                _country(2.0, 3.0, 5.0, 7.0, 11.0, 13.0),
+                _country(3.0, 1.0, 4.0, 1.0, 5.0, 9.0)],
+         t_list=[2004, 2005], dt_max=3, r2_min=0.0)
+# every cell of 2000 has 2 countries; 2001 has 4
+@example(cells=[_country(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                _country(2.0, 3.0, 5.0, 7.0, 11.0, 13.0),
+                _country(None, 1.0, 4.0, 1.0, 5.0, 9.0),
+                _country(None, 2.0, 7.0, 1.0, 8.0, 2.0)],
+         t_list=[2000, 2001], dt_max=5, r2_min=0.0)
+# (2000, 2) has no spread in x, as the one country at 2.0 lacks 2002;
+# (2000, 1) and (2000, 3) are fitted
+@example(cells=[_country(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                _country(1.0, 3.0, 5.0, 7.0, 11.0, 13.0),
+                _country(1.0, 5.0, 4.0, 1.0, 5.0, 9.0),
+                _country(2.0, 7.0, None, 2.0, 8.0, 2.0)],
+         t_list=[2000], dt_max=3, r2_min=0.0)
+# (2000, 1) has a constant y, so r_squared 0
+@example(cells=[_country(1.0, 5.0, 3.0), _country(2.0, 5.0, 1.0),
+                _country(3.0, 5.0, 4.0)],
+         t_list=[2000], dt_max=2, r2_min=0.0)
 @given(cells=_PANELS,
        t_list=st.lists(st.sampled_from(range(1999, 2006)), min_size=1,
                        max_size=6, unique=True),
@@ -501,6 +532,37 @@ def test_wide_panels_bitwise_equal_per_cell_reference(n_countries, seed):
             assert _outcome(regress.convergence_regression, obs, variable, t,
                             dt) == _outcome(_ref_convergence_regression, obs,
                                             variable, t, dt)
+
+
+_SEGMENT = st.one_of(st.sampled_from([0, 1, 2, 3, 8, 9, 16, 17]),
+                     st.integers(0, 40))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(counts=st.lists(_SEGMENT, min_size=1, max_size=8),
+       x_at=st.integers(0, 7), y_at=st.integers(0, 7), data=st.data())
+def test_segment_fits_bitwise_equal_ols_per_segment(counts, x_at, y_at, data):
+    n = sum(counts)
+    points = data.draw(st.lists(st.tuples(_OLS_COORD, _OLS_COORD),
+                                min_size=n, max_size=n))
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T.copy()
+    x_buffer, y_buffer = np.random.default_rng(n).normal(size=(2, n + 8))
+    x_buffer[x_at:x_at + n], y_buffer[y_at:y_at + n] = x, y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = regress._segment_fits(x_buffer[x_at:x_at + n],
+                                     y_buffer[y_at:y_at + n], counts)
+    assert len(fits) == len(counts)
+    cuts = list(accumulate(counts, initial=0))
+    for fit, a, b in zip(fits, cuts, cuts[1:]):
+        expected = _outcome(_ref_ols, x[a:b].copy(), y[a:b].copy())
+        if expected[0] in (errors.TooFewPoints, errors.DegenerateX):
+            assert fit is None
+        else:
+            slope, intercept, r_squared, constant_y = fit
+            assert _bits(regress.OlsFit(
+                slope=slope, intercept=intercept, r_squared=r_squared,
+                n=b - a, constant_y=constant_y)) == expected
 
 
 def _python_typed(fit):

@@ -88,6 +88,25 @@ def test_gamma_trend_skips_thin_years():
         scaling.gamma_trend(obs, [])
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_numpy_int_years_fit_as_plain_ints(integer):
+    obs = panel.PanelColumns.from_rows(
+        _power_law_panel(1990, 0.8, 0.0, [0.5, 1.0, 2.0, 4.0])
+        + _power_law_panel(1991, 0.9, 0.1, [0.5, 1.0, 2.0, 4.0])
+        + _power_law_panel(1992, 1.0, 0.2, [1.0, 2.0]))
+    plain = scaling.gamma_trend(obs, [1990, 1991, 1992])
+    assert [fit.year for fit in plain] == [1990, 1991]
+    for years in (np.unique(obs.year).astype(integer),
+                  [integer(1990), integer(1991), integer(1992)]):
+        fits = scaling.gamma_trend(obs, years)
+        assert fits == plain
+        assert all(type(fit.year) is int for fit in fits)
+    with pytest.raises(ValueError):
+        scaling.gamma_trend(obs, np.array([], integer))
+    fit = scaling.fit_gdp_debt_scaling(obs, integer(1990))
+    assert fit == plain[0] and type(fit.year) is int
+
+
 def test_trend_csv(tmp_path):
     obs = panel.PanelColumns.from_rows(
         _power_law_panel(1990, 0.8, 0.0, [0.5, 1.0, 2.0, 4.0]))

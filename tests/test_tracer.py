@@ -67,10 +67,12 @@ def test_tracer_sees_dist_writers_under_cli_dist(tmp_path):
         assert parents == ["cli.dist", "cli.dist"], name
 
 
-def test_ols_spans_count_fitted_cells_under_cli_converge(tmp_path, capsys):
-    # regress.ols.calls is the benchmark's count of fitted convergence cells:
-    # every cell with enough countries is fitted by one regress.ols call,
-    # whether or not r2_min drops it
+def test_slope_surface_fits_cells_without_ols_spans_under_cli_converge(
+        tmp_path, capsys):
+    # slope_surface fits each start year's cells in one least-squares pass,
+    # not by one regress.ols call per cell: under cli.converge there is one
+    # slope_surface span per variable and no regress.ols span, so the fit
+    # counts are read from the CLI's notes
     from debtkit import cli
 
     synth = tmp_path / "synth"
@@ -91,11 +93,12 @@ def test_ols_spans_count_fitted_cells_under_cli_converge(tmp_path, capsys):
     # each surface's line reads "(<entries> fits, <n_dropped> below r2_min"
     counts = [(int(kept), int(dropped)) for kept, dropped in re.findall(
         r"\((\d+) fits, (\d+) below r2_min", capsys.readouterr().out)]
-    assert len(counts) == 3 and all(dropped for _, dropped in counts)
-    ols_parents = [spans[span[0]][1] for span in spans
-                   if span[1] == "regress.ols"]
-    assert ols_parents == ["regress.slope_surface"] * sum(map(sum, counts))
-    assert tracer.derive(spans)["regress.ols.calls"] == sum(map(sum, counts))
+    assert len(counts) == 3 and all(map(all, counts))
+    surface_parents = [spans[span[0]][1] for span in spans
+                       if span[1] == "regress.slope_surface"]
+    assert surface_parents == ["cli.converge"] * 3
+    assert not [span for span in spans if span[1] == "regress.ols"]
+    assert tracer.derive(spans)["regress.ols.calls"] == 0
 
 
 def test_ols_spans_count_fitted_years_under_cli_scaling(tmp_path, capsys):
