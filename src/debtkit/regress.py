@@ -14,8 +14,9 @@ from one pass, _cells, over obs.index, the panel's one YearIndex: each
 start year t meets all its later years in one slice of the rows in (year,
 code) order, so memory grows with the rows, not countries x years. Every
 least-squares line, of a cell, a scaling year or a Zipf fit, comes from one
-kernel, _segment_fits: slope_surface hands it a start year's cells at
-once, and ols is its one-segment case.
+kernel, _segment_fits: slope_surface hands it a start year's cells at once,
+scaling.gamma_trend all its years at once, and both skip each segment it
+does not fit, by one rule; ols is its one-segment case.
 """
 
 from __future__ import annotations
@@ -186,18 +187,6 @@ def _log_log_fit(x: np.ndarray, y: np.ndarray, label: str, *args) -> OlsFit:
             f"{len(x)} countries with positive {label.format(*args)}; "
             f"need >= 3")
     return ols(x, y)
-
-
-def _fitted(fit, cells) -> list:
-    """fit(*cell) for each of cells that has at least 3 countries and spread
-    in x; the rest are skipped."""
-    fits = []
-    for cell in cells:
-        try:
-            fits.append(fit(*cell))
-        except (TooFewCountries, DegenerateX):
-            pass
-    return fits
 
 
 def _cells(obs: PanelColumns, variable: Variable, t_list: Sequence[int],

@@ -16,7 +16,7 @@ import numpy as np
 # cross_section and ols are not called here, but perfbench/tracer.py wraps
 # scaling.cross_section and scaling.ols by name
 from .panel import PanelColumns, cross_section, write_table
-from .regress import _fitted, _log_log_fit, ols
+from .regress import _log_log_fit, _segment_fits, ols
 
 TREND_CSV_HEADER = ["year", "gamma", "log_A", "r_squared", "n_countries"]
 
@@ -33,21 +33,21 @@ class ScalingFit:
     n_excluded: int = 0  # countries with d <= 0 or g <= 0 that year
 
 
-def _fit_year(obs: PanelColumns, rows, year: int) -> ScalingFit:
-    """OLS of log g on log d over the rows of year with positive d and g."""
+def _logs(obs: PanelColumns, rows) -> tuple[np.ndarray, np.ndarray]:
+    """log d and log g over the rows with positive d and g, in row order."""
     d, g = obs.d[rows], obs.g[rows]
     usable = (d > 0) & (g > 0)
-    fit = _log_log_fit(np.log(d[usable]), np.log(g[usable]), "d and g in {}",
-                       year)
-    return ScalingFit(year=year, gamma=fit.slope, log_A=fit.intercept,
-                      r_squared=fit.r_squared, n_countries=fit.n,
-                      n_excluded=len(rows) - fit.n)
+    return np.log(d[usable]), np.log(g[usable])
 
 
 def fit_gdp_debt_scaling(obs: PanelColumns, year: int) -> ScalingFit:
     """OLS of log g on log d over countries with positive d and g in a year."""
     year = operator.index(year)
-    return _fit_year(obs, obs.index.year(year), year)
+    rows = obs.index.year(year)
+    fit = _log_log_fit(*_logs(obs, rows), "d and g in {}", year)
+    return ScalingFit(year=year, gamma=fit.slope, log_A=fit.intercept,
+                      r_squared=fit.r_squared, n_countries=fit.n,
+                      n_excluded=len(rows) - fit.n)
 
 
 def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
@@ -55,13 +55,23 @@ def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
     positive in d and g, or with no spread in log d, is skipped.
 
     Skipped years are recoverable as set(years) minus the fitted years.
+    Every panel year among years is fitted in one _segment_fits pass, which
+    gives no fit for a skipped year, as slope_surface skips a cell.
     """
     years = list(map(operator.index, years))
     if not years:
         raise ValueError("years must be nonempty")
     rows = obs.index.rows
-    return _fitted(_fit_year, ((obs, rows[year], year) for year in years
-                               if year in rows))
+    years = [year for year in years if year in rows]
+    if not years:
+        return []
+    logs = [_logs(obs, rows[year]) for year in years]
+    counts = [len(x) for x, _ in logs]
+    x, y = (np.concatenate(column) for column in zip(*logs))
+    # a fit starts (slope, intercept, r_squared), in ScalingFit's order
+    return [ScalingFit(year, *fit[:3], n, len(rows[year]) - n)
+            for year, n, fit in zip(years, counts, _segment_fits(x, y, counts))
+            if fit is not None]
 
 
 def write_trend_csv(fits: Iterable[ScalingFit], path,

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,6 +219,23 @@ def test_gamma_mle_where_the_moments_leave_the_float_range(scale):
     assert fit.k == pytest.approx(base.k, rel=1e-9)
     assert fit.r_c == pytest.approx(base.r_c * scale, rel=1e-9)
     assert math.isfinite(fit.log_likelihood) and fit.n == 2000
+
+
+def test_gamma_mle_newton_step_below_zero_is_halved():
+    # the moment start k0 = mean**2/variance is about 99 against an MLE of
+    # about 4.06, so the first Newton step lands below 0 and the safeguard
+    # halves k instead; the fit still converges to scipy's MLE
+    samples = [1.0] * 99 + [1e-6]
+    arr = np.array(samples)
+    k0 = arr.mean() ** 2 / arr.var()
+    s = math.log(arr.mean()) - np.log(arr).mean()
+    f = math.log(k0) - scipy.special.digamma(k0) - s
+    f_prime = 1.0 / k0 - scipy.special.polygamma(1, k0)
+    assert k0 - f / f_prime < 0
+    fit = dist.fit_gamma_mle(samples)
+    k, _, _ = scipy.stats.gamma.fit(samples, floc=0)
+    assert fit.k == pytest.approx(k, rel=1e-9)
+    assert fit.r_c == pytest.approx(arr.mean() / k, rel=1e-9)
 
 
 def test_gamma_mle_no_convergence_names_last_iterate(monkeypatch):

@@ -1,5 +1,6 @@
 """GDP-debt power-law scaling tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,55 @@ def test_numpy_int_years_fit_as_plain_ints(integer):
         scaling.gamma_trend(obs, np.array([], integer))
     fit = scaling.fit_gdp_debt_scaling(obs, integer(1990))
     assert fit == plain[0] and type(fit.year) is int
+
+
+def _bits(fit):
+    """fit's fields, each float as its hex, so equal means bit for bit."""
+    return [v.hex() if isinstance(v, float) else v
+            for v in dataclasses.astuple(fit)]
+
+
+def test_gamma_trend_fits_each_year_as_fit_gdp_debt_scaling(monkeypatch):
+    # 2000: every country has d = 1, so log d has no spread; 2001: every
+    # country has g = 1, a constant log g fitted with r_squared 0; 2002: two
+    # countries positive in d and g; 2003: four, and one with d = 0. The
+    # years list repeats 2001 and names 1999, which the panel lacks.
+    obs = panel.PanelColumns.from_rows(
+        [_obs(code, 2000, 1.0, g) for code, g in
+         (("AAA", 1.0), ("BBB", 2.0), ("CCC", 5.0))]
+        + [_obs(code, 2001, d, 1.0) for code, d in
+           (("AAA", 0.5), ("BBB", 2.0), ("CCC", 3.0), ("DDD", 7.0))]
+        + [_obs(code, 2002, d, g) for code, d, g in
+           (("AAA", 1.0, 2.0), ("BBB", 2.0, 3.0), ("CCC", 0.0, 1.0))]
+        + [_obs(code, 2003, d, g) for code, d, g in
+           (("AAA", 0.3, 1.1), ("BBB", 2.0, 3.5), ("CCC", 0.0, 1.0),
+            ("DDD", 5.0, 4.0), ("EEE", 9.0, 8.5))])
+    years = [2003, 2000, 2001, 2002, 2001, 1999]
+    with pytest.raises(errors.DegenerateX):
+        scaling.fit_gdp_debt_scaling(obs, 2000)
+    with pytest.raises(errors.TooFewCountries):
+        scaling.fit_gdp_debt_scaling(obs, 2002)
+    expected = [scaling.fit_gdp_debt_scaling(obs, year)
+                for year in (2003, 2001, 2001)]
+    # every year in one kernel pass, with neither ols nor _log_log_fit
+    passes = []
+
+    def segment_fits(*args):
+        passes.append(args[2])
+        return regress._segment_fits(*args)
+
+    def unused(*args):
+        raise AssertionError("gamma_trend fits no year on its own")
+
+    monkeypatch.setattr(scaling, "_segment_fits", segment_fits)
+    monkeypatch.setattr(scaling, "ols", unused)
+    monkeypatch.setattr(scaling, "_log_log_fit", unused)
+    fits = scaling.gamma_trend(obs, years)
+    assert passes == [[4, 3, 4, 2, 4]]
+    assert [_bits(fit) for fit in fits] == [_bits(fit) for fit in expected]
+    assert [(fit.year, fit.n_countries, fit.n_excluded) for fit in fits] == [
+        (2003, 4, 1), (2001, 4, 0), (2001, 4, 0)]
+    assert fits[1].r_squared == 0.0 and fits[1].gamma == 0.0
 
 
 def test_trend_csv(tmp_path):

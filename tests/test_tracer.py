@@ -101,9 +101,12 @@ def test_slope_surface_fits_cells_without_ols_spans_under_cli_converge(
     assert tracer.derive(spans)["regress.ols.calls"] == 0
 
 
-def test_ols_spans_count_fitted_years_under_cli_scaling(tmp_path, capsys):
-    # every scaling year with enough countries is fitted by one regress.ols
-    # call under gamma_trend; 2003, with two countries, is skipped before it
+def test_gamma_trend_fits_years_without_ols_spans_under_cli_scaling(
+        tmp_path, capsys):
+    # gamma_trend fits every scaling year in one least-squares pass, not by
+    # one regress.ols call per year: under cli.scaling there is one
+    # gamma_trend span and no regress.ols span, and scaling.fits counts the
+    # 3 fitted years; 2003, with two countries, is skipped
     from debtkit import cli
 
     panel = tmp_path / "panel.csv"
@@ -128,11 +131,12 @@ def test_ols_spans_count_fitted_years_under_cli_scaling(tmp_path, capsys):
         recorder.uninstall()
     spans = recorder.take()
     assert "(3 years)" in capsys.readouterr().out
-    ols_parents = [spans[span[0]][1] for span in spans
-                   if span[1] == "regress.ols"]
-    assert ols_parents == ["scaling.gamma_trend"] * 3
+    trend_parents = [spans[span[0]][1] for span in spans
+                     if span[1] == "scaling.gamma_trend"]
+    assert trend_parents == ["cli.scaling"]
+    assert not [span for span in spans if span[1] == "regress.ols"]
     metrics = tracer.derive(spans)
-    assert metrics["regress.ols.calls"] == metrics["scaling.fits"] == 3
+    assert (metrics["scaling.fits"], metrics["regress.ols.calls"]) == (3, 0)
 
 
 def test_one_ols_span_per_convergence_regression():
