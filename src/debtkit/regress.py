@@ -91,14 +91,6 @@ class SlopeSurface:
     n_skipped: int = 0   # grid cells without enough data
 
 
-def _spread(rows: list, counts: Sequence[int]):
-    """Each row's value per segment repeated over the segment's points; with
-    one segment, each row's one value as a scalar."""
-    if len(counts) == 1:
-        return [row[0] for row in rows]
-    return np.repeat(rows, counts, axis=1)
-
-
 def _segment_fits(x: np.ndarray, y: np.ndarray,
                   counts: Sequence[int]) -> list:
     """Least squares of y on x over each consecutive segment of x and y,
@@ -108,8 +100,10 @@ def _segment_fits(x: np.ndarray, y: np.ndarray,
     Each segment gets the bits of ols on it alone. Its means are
     np.add.reduce(v) / n, the sum and division that np.mean makes of a 1-d
     float64 array, and its sums of squares are dot products of its own
-    slices; the centring and the residuals are one array operation over all
-    segments.
+    slices. The centring and the residuals are one array operation over all
+    segments, each in a (2, len(x)) buffer of repeated means, or of repeated
+    slopes and intercepts; the first buffer is freed before the second is
+    made, so a pass holds two arrays of the points besides x and y.
     """
     m = len(counts)
     # the segments that ols would not reject for having fewer than 3 points
@@ -120,12 +114,13 @@ def _segment_fits(x: np.ndarray, y: np.ndarray,
     for k, at, n in segments:
         x_means[k] = float(np.add.reduce(x[at])) / n
         y_means[k] = float(np.add.reduce(y[at])) / n
-    x_mean, y_mean = _spread([x_means, y_means], counts)
-    xc, yc = x - x_mean, y - y_mean
+    xs, ys = centred = np.repeat([x_means, y_means], counts, axis=1)
+    np.subtract(x, xs, out=xs)
+    np.subtract(y, ys, out=ys)
     # a segment with no residual to sum keeps slope and intercept 0
     fits, slopes, intercepts, lines = [None] * m, [0.0] * m, [0.0] * m, []
     for k, at, n in segments:
-        xs, ys = xc[at], yc[at]
+        xs, ys = centred[0, at], centred[1, at]
         s_xx = float(xs.dot(xs))
         if s_xx == 0.0:
             continue
@@ -137,9 +132,10 @@ def _segment_fits(x: np.ndarray, y: np.ndarray,
         else:
             slopes[k], intercepts[k] = slope, intercept
             lines.append((k, at, ss_tot))
+    del centred, xs, ys  # free the buffer, which the last slices hold too
     if lines:
-        slope, intercept = _spread([slopes, intercepts], counts)
-        r = x * slope  # y - (intercept + slope * x), in one buffer
+        r, intercept = np.repeat([slopes, intercepts], counts, axis=1)
+        np.multiply(x, r, out=r)  # y - (intercept + slope * x)
         r += intercept
         np.subtract(y, r, out=r)
     for k, at, ss_tot in lines:

@@ -68,6 +68,7 @@ def gamma_trend(obs: PanelColumns, years: Sequence[int]) -> list[ScalingFit]:
     logs = [_logs(obs, rows[year]) for year in years]
     counts = [len(x) for x, _ in logs]
     x, y = (np.concatenate(column) for column in zip(*logs))
+    del logs  # each year's pieces, now copied into x and y
     # a fit starts (slope, intercept, r_squared), in ScalingFit's order
     return [ScalingFit(year, *fit[:3], n, len(rows[year]) - n)
             for year, n, fit in zip(years, counts, _segment_fits(x, y, counts))

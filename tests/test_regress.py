@@ -7,6 +7,7 @@ same bits, or raise the same error with the same message.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from itertools import accumulate
 
@@ -610,3 +611,30 @@ def test_ols_bits_do_not_depend_on_where_the_arrays_sit(n, seed, scale):
             y_buffer[y_at:y_at + n] = y
             assert _outcome(regress.ols, x_buffer[x_at:x_at + n],
                             y_buffer[y_at:y_at + n]) == fresh
+
+
+def _traced_peak(call, *args):
+    """The most bytes that call(*args) held at once beyond what was held
+    before it, numpy arrays included, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_least_squares_holds_two_arrays_of_its_points_and_writes_no_input():
+    # about as many points and segments as gamma_trend fits on a 1000 x 41
+    # panel; x and y sit at odd offsets in larger buffers
+    rng = np.random.default_rng(41)
+    counts = rng.integers(900, 1000, 41).tolist()
+    n = sum(counts)
+    x_buffer, y_buffer = rng.normal(size=(2, n + 8))
+    x, y = x_buffer[5:5 + n], y_buffer[3:3 + n]
+    y += 0.7 * x
+    before = x_buffer.tobytes(), y_buffer.tobytes()
+    assert _traced_peak(regress._segment_fits, x, y, counts) <= 2.5 * 8 * n
+    assert _traced_peak(regress.ols, x, y) <= 2.5 * 8 * n
+    assert (x_buffer.tobytes(), y_buffer.tobytes()) == before

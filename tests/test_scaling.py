@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from debtkit import errors, panel, regress, scaling
+from debtkit import dynamics, errors, panel, regress, scaling
+from test_regress import _traced_peak
 
 
 def _obs(code, year, d, g):
@@ -169,3 +170,15 @@ def test_trend_csv(tmp_path):
     fields = lines[2].split(",")
     assert int(fields[0]) == 1990
     assert float(fields[1]) == pytest.approx(0.8, abs=1e-10)
+
+
+def test_gamma_trend_holds_few_arrays_of_its_points():
+    obs = dynamics.synthetic_convergent_panel(
+        1000, range(1965, 2006), 0.05, 0.02, 0.1, seed=0)
+    years, n = range(1965, 2006), 41_000
+    # every country is positive in d and g every year; this first call also
+    # builds obs.index, which the traced call below then only reads
+    assert sum(fit.n_countries for fit in scaling.gamma_trend(obs, years)) == n
+    # the years' logs, their concatenation and the kernel's two buffers
+    # need not all be held at once
+    assert _traced_peak(scaling.gamma_trend, obs, years) <= 5 * 8 * n
