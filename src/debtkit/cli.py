@@ -149,7 +149,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def _dist_outputs(obs, suffix: str, args, ranked: dict) -> list:
     """The outputs of one `dist` set: histograms, Zipf ranks and both fits;
-    ranked maps d and R to the set's values in rank order."""
+    ranked maps d and R to the set's _RankTable from dist._rank_tables."""
     samples = {"d": obs.d, "R": obs.ratio_R}
     hists = {name: dist.histogram_pdf(values, args.bins)
              for name, values in samples.items()}
@@ -160,7 +160,8 @@ def _dist_outputs(obs, suffix: str, args, ranked: dict) -> list:
         if window[1] == 0:
             raise WindowTooSmall(f"{name} has 0 positive values; the Zipf fit "
                                  f"needs >= 3")
-        zipf_payload[name] = asdict(dist.fit_zipf_exponent(ranked[name], window))
+        zipf_payload[name] = asdict(dist.fit_zipf_exponent(ranked[name].ranked,
+                                                           window))
 
     positive_r = samples["R"][samples["R"] > 0]
     n_zero = len(samples["R"]) - len(positive_r)
@@ -184,9 +185,8 @@ def cmd_dist(args: argparse.Namespace) -> int:
     wanted = ([] if not args.group else list(panel.IncomeGroup)
               if args.group == "all" else [panel.IncomeGroup(args.group.upper())])
     masks = [obs.income_group == group for group in wanted]
-    # with groups, d and R are each sorted and formatted once for every set
-    ranked = {name: dist._rank_tables(values, masks) if masks
-              else [dist.zipf_ranks(values)]
+    # d and R are each sorted and formatted once, for the panel and every group
+    ranked = {name: dist._rank_tables(values, masks)
               for name, values in (("d", obs.d), ("R", obs.ratio_R))}
     outputs = _dist_outputs(obs, "", args, {n: r[0] for n, r in ranked.items()})
     for i, (group, mask) in enumerate(zip(wanted, masks), start=1):

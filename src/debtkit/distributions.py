@@ -112,8 +112,9 @@ def histogram_pdf(samples: Sequence[float],
         edges = np.linspace(0.0, top, n_bins + 1)
     else:
         edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("explicit edges must be ascending with >= 2 entries")
+        if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
+                or np.any(np.diff(edges) <= 0)):
+            raise ValueError("explicit edges must be >= 2 finite ascending values")
     counts, edges = np.histogram(arr, bins=edges)
     n = int(counts.sum())
     if n == 0:
@@ -229,22 +230,19 @@ def zipf_ranks(samples: Sequence[float]) -> np.ndarray:
 
 
 class _RankTable:
-    """Values in rank order, which np.asarray gives, and the rows of their
-    rank table, formatted with those of the other tables of one sample."""
+    """Values in rank order, as ranked, and the rows of their rank table,
+    formatted with those of the other tables of one sample."""
 
-    def __init__(self, ranked: np.ndarray, i: int, sample: tuple):
+    def __init__(self, ranked: np.ndarray, i: int, sample: "tuple | None"):
         # sample: the whole sample ranked, each table's rows in that order
-        # (None for all), and the rows' text of tables formatted, not written
+        # (None for all), and the rows' text of tables formatted, not written;
+        # None for a sample of ranked alone
         self.ranked, self._i, self._sample = ranked, i, sample
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.ranked, dtype) if copy else np.asarray(
-            self.ranked, dtype)
 
     def _write_rows(self, f) -> None:
         """Write the rows to f; unless they are held, format each value once
         for every table of the sample, holding the others' rows as text."""
-        whole, picks, held = self._sample
+        whole, picks, held = self._sample or (self.ranked, [None], {})
         if self._i in held:
             f.writelines(held.pop(self._i))
             return
@@ -336,11 +334,12 @@ def write_histogram_csv(hist: HistogramPdf, path,
 
 def write_ranks_csv(ranked: np.ndarray, path,
                     header_comment: "str | None" = None) -> None:
-    """Write (rank, value) rows of values in rank order or a _RankTable."""
-    if isinstance(ranked, _RankTable):  # the header as write_table writes it
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            f.write((f"# {header_comment}\n" if header_comment else "")
-                    + "rank,value\r\n")
-            return ranked._write_rows(f)
-    write_table(path, ["rank", "value"],
-                [np.arange(1, len(ranked) + 1), ranked], header_comment)
+    """Write the (rank, value) rows of a _RankTable, or of values in rank
+    order as the one table of their sample: each value is the repr of its
+    np.asarray element, so a list's ints among floats are written as floats."""
+    if not isinstance(ranked, _RankTable):
+        ranked = _RankTable(np.asarray(ranked), 0, None)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write((f"# {header_comment}\n" if header_comment else "")
+                + "rank,value\r\n")  # the header as write_table writes it
+        ranked._write_rows(f)

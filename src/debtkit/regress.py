@@ -147,13 +147,15 @@ def _segment_fits(x: np.ndarray, y: np.ndarray,
 
 def ols(x: Sequence[float], y: Sequence[float]) -> OlsFit:
     """Least squares of y on x via mean-centered normal equations: the
-    one-segment case of _segment_fits."""
+    one-segment case of _segment_fits. x and y must be finite."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     n = x.size
     if n < 3:
         raise TooFewPoints(f"need at least 3 points, got {n}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteValue("x and y must be finite")
     fit, = _segment_fits(x, y, [n])
     if fit is None:
         raise DegenerateX("x has zero variance")

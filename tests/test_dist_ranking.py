@@ -1,12 +1,16 @@
 """`dist` ranks each sample once for every income group, against the per-set path.
 
-With --group, `cli.cmd_dist` sorts d and R of the whole panel once, takes
-each group's ranked values from that order by its mask, and formats every
-value once for the panel table and the group tables. The oracle below is
-the per-set path it replaced: each set, the panel or one group, is ranked by
-`zipf_ranks` of its own values, fitted by `fit_zipf_exponent` and written by
-`write_ranks_csv`. Both must write the same files with the same bytes, print
-the same lines and notes, and exit with the same code.
+With or without --group, `cli.cmd_dist` sorts d and R of the whole panel
+once by `distributions._rank_tables` and writes every rank table through
+`_RankTable`. With --group it takes each group's ranked values from that
+order by its mask, and formats every value once for the panel table and
+the group tables; without, the panel's table is the only one. The oracle
+below is the per-set path it replaced: each set, the panel or one group, is
+ranked by `zipf_ranks` of its own values, fitted by `fit_zipf_exponent` and
+written by `write_ranks_csv` of that array, whose bytes
+`tests/test_zipf_ranks.py` pins to `panel.write_table`'s. Both must write
+the same files with the same bytes, print the same lines and notes, and
+exit with the same code.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,10 +197,14 @@ def _dist_argv_of_4000_rows(tmp_path):
             "--group", "all"]
 
 
-def test_dist_formats_each_value_once(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("group", ["all", None])
+def test_dist_formats_each_value_once(tmp_path, monkeypatch, capsys, group):
     # each row's d and R are formatted once, for the panel's table and for
-    # its group's; formatting per table would take twice as many calls
+    # its group's; formatting per table would take twice as many calls. A
+    # plain dist formats them by the same writer, once each
     argv, formatted = _dist_argv_of_4000_rows(tmp_path), []
+    if group is None:
+        argv = argv[:argv.index("--group")]
     monkeypatch.setattr(dist, "repr", lambda x: formatted.append(x) or repr(x),
                         raising=False)
     assert cli.main(argv) == 0

@@ -87,6 +87,10 @@ def test_histogram_guards():
         dist.histogram_pdf([1.0], bins=[3.0, 2.0, 1.0])
     with pytest.raises(errors.EmptySample):
         dist.histogram_pdf([5.0], bins=[0.0, 1.0])
+    for edges in ([0.0, math.inf], [math.nan, 3.0], [-math.inf, 0.0, 1.0],
+                  [0.0, 1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite ascending"):
+            dist.histogram_pdf([0.5], bins=edges)
 
 
 # ---------------------------------------------------- digamma and trigamma

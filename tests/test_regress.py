@@ -113,6 +113,11 @@ def test_ols_guards():
     for x, y in (([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0, 3.0]],) * 2):
         with pytest.raises(ValueError, match="1-d arrays of equal length"):
             regress.ols(x, y)
+    for bad in (math.nan, math.inf, -math.inf):
+        for x, y in (([1.0, 2.0, bad], [1.0, 2.0, 3.0]),
+                     ([1.0, 2.0, 3.0], [1.0, bad, 3.0])):
+            with pytest.raises(errors.NonFiniteValue, match="must be finite"):
+                regress.ols(x, y)
     fit = regress.ols([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
     assert fit.slope == 0.0
     assert fit.r_squared == 0.0

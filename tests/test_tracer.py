@@ -60,11 +60,14 @@ def test_tracer_sees_dist_writers_under_cli_dist(tmp_path):
         recorder.uninstall()
     spans = recorder.take()
     # a CLI that called around these names would zero their benchmark spans
-    for name in ("distributions.zipf_ranks", "distributions.fit_zipf_exponent",
+    for name in ("distributions.fit_zipf_exponent",
                  "distributions.write_ranks_csv",
                  "distributions.write_histogram_csv"):
         parents = [spans[span[0]][1] for span in spans if span[1] == name]
         assert parents == ["cli.dist", "cli.dist"], name
+    # dist ranks d and R by _rank_tables, with or without --group, so the
+    # public one-sample zipf_ranks is not called
+    assert "distributions.zipf_ranks" not in {span[1] for span in spans}
 
 
 def test_slope_surface_fits_cells_without_ols_spans_under_cli_converge(

@@ -7,6 +7,10 @@ earlier implementation, which built a list of (rank, value) tuples with a
 stable Python sort and filtered it by rank. On any finite sample both must
 give the same bits, the same file bytes and equal fits, or raise the same
 error with the same message.
+
+write_ranks_csv writes any array of values in rank order, finite or not,
+as the one rank table of its sample; the reference for its bytes is
+panel.write_table of np.arange ranks and the array, the path it replaced.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 
 from debtkit import distributions as dist
 from debtkit import errors
-from debtkit.panel import write_table
+from debtkit.panel import _WRITE_ROWS, write_table
 from debtkit.regress import ols
 
 
@@ -125,3 +129,46 @@ def test_empty_sample_raises_as_reference():
             == _outcome(_ref_zipf_ranks, []))
     assert (_outcome(dist.fit_zipf_exponent, [], None)
             == _outcome(_ref_fit_zipf_exponent, [], None))
+
+
+# ------------------------------------------------------ any ranked array
+
+_NOT_FINITE = [np.nan, np.inf, -np.inf, -0.0]
+
+
+@st.composite
+def _ranked_arrays(draw):
+    """An int64 array, or a float64 array holding NaN, +-inf and -0.0,
+    longer than one block of write_table's rows and drawn from a small
+    pool, so that values repeat."""
+    if draw(st.booleans()):
+        pool = np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                      min_size=1, max_size=8)), np.int64)
+    else:
+        pool = np.array(draw(st.lists(_values, max_size=8)) + _NOT_FINITE)
+    n = draw(st.integers(_WRITE_ROWS + 1, 2 * _WRITE_ROWS + 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.choice(pool, n)
+    if values.dtype == float:  # every value that is not finite, and -0.0
+        values[rng.choice(n, len(_NOT_FINITE), replace=False)] = _NOT_FINITE
+    return values
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(ranked=_ranked_arrays(),
+       header_comment=st.sampled_from([None, "", "stamp"]))
+def test_ranked_array_written_as_write_table_writes_it(ranked, header_comment):
+    n = len(ranked)
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp, "ours.csv"), Path(tmp, "theirs.csv")
+        dist.write_ranks_csv(ranked, ours, header_comment=header_comment)
+        write_table(theirs, ["rank", "value"], [np.arange(1, n + 1), ranked],
+                    header_comment)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_list_of_ints_and_floats_is_written_as_floats(tmp_path):
+    # the values are taken by np.asarray, as fit_zipf_exponent takes them
+    dist.write_ranks_csv([3, 2.5, 1], tmp_path / "z.csv")
+    assert (tmp_path / "z.csv").read_bytes() == (
+        b"rank,value\r\n1,3.0\r\n2,2.5\r\n3,1.0\r\n")
